@@ -14,8 +14,9 @@ import sys
 from . import root_datum as rdm
 from .hecke import SphericalHecke
 from .k0 import ICClass, purity_weight
-from .laurent import LaurentPoly
+from .lattices import Vec
 from .linear import LinComb
+from .rep_ring import G1RepClass
 from .root_datum import RootDatum, RootDatumError, catalog
 from .verify import RunConfig, run_all
 from .weyl import render_affine
@@ -25,54 +26,35 @@ def _env(name: str, default):
     return os.environ.get(f"SATAKE_{name}", default)
 
 
-def _parse_vec(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",")) if text else ()
+class UsageError(ValueError):
+    """Malformed command-line input, reported as one ``error:`` line."""
 
 
-def _poly_json(p: LaurentPoly):
-    return p.to_json()
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise UsageError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
-def _satake_json(f: LinComb) -> dict:
+def _c_str(mu: Vec) -> str:
+    return f"c[{','.join(map(str, mu))}]"
+
+
+def _g1_key_json(cls: G1RepClass) -> dict:
+    return {"mu": list(cls.mu), "k": cls.k}
+
+
+def _g1_order(cls: G1RepClass) -> tuple:
+    return cls.mu, cls.k
+
+
+def _terms_json(basis: str, x: LinComb, key_json, order) -> dict:
     return {
-        "basis": "c",
-        "terms": [{"key": list(mu), "poly": _poly_json(f.coefficient(mu))}
-                  for mu in sorted(f.keys())],
+        "basis": basis,
+        "terms": [{"key": key_json(k), "poly": x.coefficient(k).to_json()}
+                  for k in sorted(x.keys(), key=order)],
     }
-
-
-def _g1_json(x: LinComb) -> dict:
-    return {
-        "basis": "G1",
-        "terms": [{"key": {"mu": list(cls.mu), "k": cls.k}, "poly": _poly_json(x.coefficient(cls))}
-                  for cls in sorted(x.keys(), key=lambda c: (c.mu, c.k))],
-    }
-
-
-def _render_satake(f: LinComb) -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for mu in sorted(f.keys()):
-        p = str(f.coefficient(mu))
-        if " " in p or "-" in p[1:]:
-            p = f"({p})"
-        key = f"c[{','.join(map(str, mu))}]"
-        parts.append(key if p == "1" else f"{p}*{key}")
-    return " + ".join(parts)
-
-
-def _render_g1(x: LinComb) -> str:
-    if x.is_zero():
-        return "0"
-    parts = []
-    for cls in sorted(x.keys(), key=lambda c: (c.mu, c.k)):
-        p = str(x.coefficient(cls))
-        if " " in p or "-" in p[1:]:
-            p = f"({p})"
-        key = f"V[{','.join(map(str, cls.mu))};{cls.k}]"
-        parts.append(key if p == "1" else f"{p}*{key}")
-    return " + ".join(parts)
 
 
 def cmd_describe(config: RunConfig, args) -> int:
@@ -112,8 +94,11 @@ def cmd_hecke_mul(config: RunConfig, args) -> int:
     sph = SphericalHecke(rd, signed_trace=config.signed_trace)
     iw = sph.iwahori
     factors = []
+    n_simple = len(sph.W.simple_refs)
     for w in args.words:
-        word = () if w in ("e", "") else tuple(int(i) for i in w.split(","))
+        word = () if w in ("e", "") else _parse_ints(w, "words")
+        if any(not 0 <= i < n_simple for i in word):
+            raise UsageError(f"word {w!r} has an index outside 0..{n_simple - 1}")
         factors.append(sph.W.word_to_element(word))
     prod = iw.unit()
     for x in factors:
@@ -132,8 +117,8 @@ def cmd_hecke_mul(config: RunConfig, args) -> int:
 def cmd_ic_convolve(config: RunConfig, args) -> int:
     rd = config.root_datum()
     sph = SphericalHecke(rd, signed_trace=config.signed_trace)
-    a = ICClass(rdm.assert_dominant(rd, _parse_vec(args.mu)), args.n)
-    b = ICClass(rdm.assert_dominant(rd, _parse_vec(args.lam)), args.m)
+    a = ICClass(rdm.assert_dominant(rd, _parse_ints(args.mu, "--mu")), args.n)
+    b = ICClass(rdm.assert_dominant(rd, _parse_ints(args.lam, "--lam")), args.m)
     conv = sph.k0.convolve_ic(a, b)
     wsum = purity_weight(rd, a) + purity_weight(rd, b)
     rows = []
@@ -160,21 +145,21 @@ def cmd_satake_table(config: RunConfig, args) -> int:
     rows = []
     for mu in rdm.dominant_reps(rd, config.bound):
         f = sph.ic_function(mu)
-        rows.append({"mu": list(mu),
-                     "trace_function": _satake_json(f),
-                     "transform": _g1_json(sph.satake_transform(f))})
+        rows.append((mu, f, sph.satake_transform(f)))
     extra = sph.ic_function((0,) * rd.rank, -1)
     if config.json_output:
-        print(json.dumps({"group": rd.name, "bound": config.bound, "rows": rows,
-                          "unit_twisted": _satake_json(extra)}, indent=2))
+        print(json.dumps({"group": rd.name, "bound": config.bound,
+                          "rows": [{"mu": list(mu),
+                                    "trace_function": _terms_json("c", f, list, tuple),
+                                    "transform": _terms_json("G1", t, _g1_key_json, _g1_order)}
+                                   for mu, f, t in rows],
+                          "unit_twisted": _terms_json("c", extra, list, tuple)}, indent=2))
     else:
         print(f"trace functions of intersection-motive classes, {rd.name}, d <= {config.bound}")
-        for r in rows:
-            mu = tuple(r["mu"])
-            f = sph.ic_function(mu)
-            print(f"  f[{','.join(map(str, mu))}] = {_render_satake(f)}"
-                  f"   ->   {_render_g1(sph.satake_transform(f))}")
-        print(f"  f[0](-1) = {_render_satake(extra)}")
+        for mu, f, t in rows:
+            print(f"  f[{','.join(map(str, mu))}] = {f.render(_c_str, tuple)}"
+                  f"   ->   {t.render(repr, _g1_order)}")
+        print(f"  f[0](-1) = {extra.render(_c_str, tuple)}")
     return 0
 
 
@@ -194,7 +179,7 @@ def cmd_verify(config: RunConfig, args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--group", default=_env("GROUP", "PGL(2)"),
-                        help="catalog group, e.g. GL(2), SL(3), PGL(2), Sp(4), torus(1)")
+                        help="catalog group, e.g. GL(2), SL(3), PGL(2), Sp(4), SO(5), torus(1)")
     common.add_argument("--bound", type=int, default=int(_env("BOUND", "6")),
                         help="max <2rho, mu> for tables and sweeps")
     common.add_argument("--signed-trace", action="store_true",
@@ -249,7 +234,7 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
         }[args.command]
         return handler(config, args)
-    except RootDatumError as exc:
+    except (RootDatumError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

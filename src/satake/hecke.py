@@ -11,11 +11,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import root_datum as rdm
-from .k0 import ICClass, SatakeK0, satake_k0
+from .k0 import ICClass, SatakeK0
 from .lattices import Vec, zero_vec
 from .laurent import LaurentPoly
 from .linear import LinComb
-from .rep_ring import G1RepClass, g1_class, g1_ring
+from .rep_ring import g1_class, g1_ring
 from .root_datum import RootDatum
 from .weyl import AffineWeylElement, affine_weyl_group
 
@@ -56,24 +56,23 @@ class IwahoriHecke:
                 out.append((ws, p * q))
         return LinComb(out)
 
-    def _mul_omega_right(self, a: LinComb, omega: AffineWeylElement) -> LinComb:
-        return a.map_keys(lambda w: self.W.mul(w, omega))
-
     def mul(self, a: LinComb, b: LinComb) -> LinComb:
         """Product computed by right-multiplying along the reduced word of
-        every key of b."""
+        every key of b, then by its length-zero part."""
         for x in list(a.keys()) + list(b.keys()):
             if self.W.im_length(x) > self.length_bound:
                 raise HeckeError(f"key length exceeds bound {self.length_bound}")
-        out = LinComb.zero()
-        for x, p in b.items():
-            word, omega = self.W.reduced_word(x)
-            cur = a
-            for i in word:
-                cur = self._mul_simple_right(cur, i)
-            cur = self._mul_omega_right(cur, omega)
-            out = out + cur.scale(p)
-        return out
+
+        def terms():
+            for x, p in b.items():
+                word, omega = self.W.reduced_word(x)
+                cur = a
+                for i in word:
+                    cur = self._mul_simple_right(cur, i)
+                for w, c in cur.items():
+                    yield self.W.mul(w, omega), c * p
+
+        return LinComb(terms())
 
 
 class SphericalHecke:
@@ -170,10 +169,8 @@ class SphericalHecke:
         return LinComb(out)
 
     def from_ic_basis(self, g: LinComb) -> LinComb:
-        out = LinComb.zero()
-        for mu, a in g.items():
-            out = out + self.k0.ic_function(mu).scale(a)
-        return out
+        return LinComb((lam, h * a) for mu, a in g.items()
+                       for lam, h in self.k0.ic_function(mu).items())
 
     def c_mul_satake(self, mu: Vec, lam: Vec) -> LinComb:
         """c_mu * c_lam through the dual side: change basis to the trace
@@ -199,21 +196,15 @@ class SphericalHecke:
         """Send a spherical function to the quotient normal form of its
         class in the representation ring of the modified dual group."""
         fi = self.to_ic_basis(f)
-        out = LinComb.zero()
-        for mu, a in fi.items():
-            cls = g1_class(self.rd, mu, n=0)
-            out = out + self.g1.quotient_normal_form(LinComb.unit(cls, a))
-        return out
+        return self.g1.quotient_normal_form(
+            LinComb((g1_class(self.rd, mu, n=0), a) for mu, a in fi.items()))
 
     def satake_inverse(self, x: LinComb) -> LinComb:
         """Inverse of satake_transform on quotient-normal-form input."""
         nf = self.g1.quotient_normal_form(x)
-        out = LinComb.zero()
-        for cls, p in nf.items():
-            d = rdm.d_pairing(self.rd, cls.mu)
-            n = (cls.k + d) // 2
-            out = out + self.k0.ic_function(cls.mu, n).scale(p)
-        return out
+        return self.k0.trace_to_hecke(LinComb(
+            (ICClass(cls.mu, (cls.k + rdm.d_pairing(self.rd, cls.mu)) // 2), p)
+            for cls, p in nf.items()))
 
 
 @lru_cache(maxsize=None)

@@ -122,10 +122,8 @@ class SatakeK0:
 
     def trace_to_hecke(self, x: LinComb) -> LinComb:
         """Linear extension of ic_function over a K0 element."""
-        out = LinComb.zero()
-        for cls, p in x.items():
-            out = out + self.ic_function(cls.mu, cls.n).scale(p)
-        return out
+        return LinComb((lam, h * p) for cls, p in x.items()
+                       for lam, h in self.ic_function(cls.mu, cls.n).items())
 
     # -- parity / positivity reporting ---------------------------------
 

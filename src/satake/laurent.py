@@ -5,7 +5,6 @@ point anywhere in this package.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 
@@ -85,10 +84,7 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        acc = dict(self._terms)
-        for e, c in other._terms:
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
+        return LaurentPoly(self._terms + other._terms)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple((e, -c) for e, c in self._terms))
@@ -131,42 +127,28 @@ class LaurentPoly:
         return sum(c for _, c in self._terms)
 
     def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ValueError if the quotient is not in Z[q, q^-1].
-
-        A failure here always signals a normalization bug upstream, never a
-        recoverable condition.
+        """Exact integer long division; raises ValueError if the quotient is
+        not in Z[q, q^-1].  A failure here always signals a normalization
+        bug upstream, never a recoverable condition.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        shift = self.min_exponent() - divisor.min_exponent()
-        num = {e - self.min_exponent(): Fraction(c) for e, c in self._terms}
-        den = {e - divisor.min_exponent(): Fraction(c) for e, c in divisor._terms}
-        deg_n = max(num)
-        deg_d = max(den)
-        lead = den[deg_d]
-        quot: dict[int, Fraction] = {}
-        rem = dict(num)
-        for e in range(deg_n - deg_d, -1, -1):
-            c = rem.get(e + deg_d, Fraction(0))
-            if c == 0:
-                continue
-            f = c / lead
-            quot[e] = f
-            for de, dc in den.items():
-                k = e + de
-                rem[k] = rem.get(k, Fraction(0)) - f * dc
-                if rem[k] == 0:
-                    del rem[k]
-        if rem:
-            raise ValueError(f"inexact division: {self} by {divisor}")
-        out = {}
-        for e, f in quot.items():
-            if f.denominator != 1:
+        (low, _), (high, lead) = divisor._terms[0], divisor._terms[-1]
+        rem = dict(self._terms)
+        quot = []
+        for e in range(self.max_exponent() - high, self.min_exponent() - low - 1, -1):
+            f, r = divmod(rem.get(e + high, 0), lead)
+            if r:
                 raise ValueError(f"inexact division: {self} by {divisor}")
-            out[e + shift] = int(f)
-        return LaurentPoly(out)
+            if f:
+                quot.append((e, f))
+                for de, dc in divisor._terms:
+                    rem[e + de] = rem.get(e + de, 0) - f * dc
+        if any(rem.values()):
+            raise ValueError(f"inexact division: {self} by {divisor}")
+        return LaurentPoly(quot)
 
     def divexact_int(self, n: int) -> "LaurentPoly":
         if n == 0:

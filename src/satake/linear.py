@@ -3,9 +3,14 @@
 A ``LinComb`` is a finitely supported map from hashable basis keys to
 ``LaurentPoly`` scalars.  Zero scalars are never stored, so equality is
 key-wise exact equality.
+
+Build sums by passing a term stream to the constructor: ``LinComb`` and
+``LaurentPoly`` merge repeated keys as the terms arrive, so a sum is one
+call over a generator of ``(key, scalar)`` pairs, never a loop of ``+``.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Mapping
 
 from .laurent import LaurentPoly
@@ -55,10 +60,7 @@ class LinComb:
         return not self._coeffs
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        acc = dict(self._coeffs)
-        for k, p in other._coeffs.items():
-            acc[k] = acc[k] + p if k in acc else p
-        return LinComb(acc)
+        return LinComb(chain(self._coeffs.items(), other._coeffs.items()))
 
     def __neg__(self) -> "LinComb":
         return LinComb({k: -p for k, p in self._coeffs.items()})
@@ -72,19 +74,10 @@ class LinComb:
     def map_keys(self, f: Callable[[Hashable], Hashable]) -> "LinComb":
         return LinComb(((f(k), p) for k, p in self._coeffs.items()))
 
-    def map_terms(self, f: Callable[[Hashable, LaurentPoly], "LinComb"]) -> "LinComb":
-        out = LinComb.zero()
-        for k, p in self._coeffs.items():
-            out = out + f(k, p)
-        return out
-
     def bilinear(self, other: "LinComb", key_mul: Callable[[Hashable, Hashable], "LinComb"]) -> "LinComb":
         """Extend a key-level product bilinearly over the coefficients."""
-        out = LinComb.zero()
-        for k1, p1 in self._coeffs.items():
-            for k2, p2 in other._coeffs.items():
-                out = out + key_mul(k1, k2).scale(p1 * p2)
-        return out
+        return LinComb(term for k1, p1 in self._coeffs.items() for k2, p2 in other._coeffs.items()
+                       for term in key_mul(k1, k2).scale(p1 * p2).items())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinComb) and self._coeffs == other._coeffs
@@ -98,11 +91,13 @@ class LinComb:
     def __len__(self) -> int:
         return len(self._coeffs)
 
-    def render(self, key_str: Callable[[Hashable], str] = str) -> str:
+    def render(self, key_str: Callable[[Hashable], str] = str,
+               order: Callable[[Hashable], object] | None = None) -> str:
+        """Terms joined by `` + ``, sorted by ``order`` (default: by key text)."""
         if not self._coeffs:
             return "0"
         parts = []
-        for k in sorted(self._coeffs, key=key_str):
+        for k in sorted(self._coeffs, key=order or key_str):
             p = self._coeffs[k]
             s = str(p)
             if " " in s or "-" in s[1:]:

@@ -69,13 +69,16 @@ class RepRing:
         if cached is not None:
             return cached
         gamma = self._pos_coords[i]
-        out = LaurentPoly.zero()
-        k = 0
-        cur = coords
-        while all(c >= 0 for c in cur):
-            out = out + self._kostant_graded(cur, i + 1).shift(k)
-            k += 1
-            cur = tuple(c - g for c, g in zip(cur, gamma))
+
+        def rests():
+            # coords minus k * gamma for k = 0, 1, ... while nonnegative
+            cur = coords
+            while all(c >= 0 for c in cur):
+                yield cur
+                cur = tuple(c - g for c, g in zip(cur, gamma))
+
+        out = LaurentPoly((e + k, c) for k, rest in enumerate(rests())
+                          for e, c in self._kostant_graded(rest, i + 1).terms)
         self._kostant_cache[key] = out
         return out
 
@@ -91,17 +94,15 @@ class RepRing:
         two_rho_hat = rd.two_rho_hat()
         dbl_mu = vadd(lattices.vscale(2, tuple(mu)), two_rho_hat)
         dbl_lam = vadd(lattices.vscale(2, tuple(lam)), two_rho_hat)
-        total = LaurentPoly.zero()
-        for w in self.W0.elements:
+
+        def halved(w) -> Vec:
             u = vsub(w.apply_cochar(dbl_mu), dbl_lam)
             if any(c % 2 for c in u):
                 raise RepRingError("odd doubled coordinate in Kostant sum")
-            v = tuple(c // 2 for c in u)
-            term = self.kostant_partition(v, q_graded=graded)
-            if term.is_zero():
-                continue
-            total = total + (term if w.length % 2 == 0 else -term)
-        return total
+            return tuple(c // 2 for c in u)
+
+        return LaurentPoly((e, -c if w.length % 2 else c) for w in self.W0.elements
+                           for e, c in self.kostant_partition(halved(w), q_graded=graded).terms)
 
     def weight_multiplicity(self, mu: Vec, lam: Vec) -> int:
         """Dimension of the lam weight space of the irreducible dual-group
@@ -244,12 +245,8 @@ class G1Ring:
     def quotient_normal_form(self, x: LinComb) -> LinComb:
         """Rewrite every key to central weight in {0, 1}, trading central
         weight -2 for a factor of q; idempotent."""
-        out = LinComb.zero()
-        for cls, p in x.items():
-            kbar = cls.k % 2
-            shift = -(cls.k - kbar) // 2
-            out = out + LinComb.unit(G1RepClass(cls.mu, kbar), p.shift(shift))
-        return out
+        return LinComb((G1RepClass(cls.mu, cls.k % 2), p.shift(-(cls.k // 2)))
+                       for cls, p in x.items())
 
 
 @lru_cache(maxsize=None)

@@ -207,13 +207,13 @@ def product(a: RootDatum, b: RootDatum) -> RootDatum:
 
 
 _DUAL_NAMES = {"GL": "GL", "SL": "PGL", "PGL": "SL", "Sp": "SO", "SO": "Sp", "torus": "torus"}
-_CATALOG_RE = re.compile(r"^(GL|SL|PGL|Sp|torus)\((\d+)\)$")
+_CATALOG_RE = re.compile(r"^(GL|SL|PGL|Sp|SO|torus)\((\d+)\)$")
 
 
 @lru_cache(maxsize=None)
 def catalog(name: str) -> RootDatum:
     """Look up a group by name, e.g. ``GL(2)``, ``SL(3)``, ``PGL(2)``,
-    ``Sp(4)``, ``torus(1)``, or a product ``GL(2)*torus(1)``."""
+    ``Sp(4)``, ``SO(5)``, ``torus(1)``, or a product ``GL(2)*torus(1)``."""
     name = name.strip()
     if "*" in name:
         parts = name.split("*")
@@ -237,6 +237,10 @@ def catalog(name: str) -> RootDatum:
         if num != 4:
             raise RootDatumError("only Sp(4) is in the catalog")
         return _sp4()
+    if fam == "SO":
+        if num != 5:
+            raise RootDatumError("only SO(5) is in the catalog")
+        return dual(_sp4())
     if fam == "torus":
         return _torus(num)
     raise RootDatumError(f"unknown group {name!r}")

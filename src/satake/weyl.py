@@ -267,9 +267,6 @@ class AffineWeylGroup:
                 raise WeylError(f"no descent for positive-length element {x!r}")
         return tuple(word), cur
 
-    def omega_of(self, x: AffineWeylElement) -> AffineWeylElement:
-        return self.reduced_word(x)[1]
-
     def bruhat_leq(self, v: AffineWeylElement, w: AffineWeylElement, bound: int = 12) -> bool:
         """Subword-property Bruhat order; comparable only within one
         length-zero component."""
@@ -313,7 +310,6 @@ class AffineWeylGroup:
 
     def dominant_representative(self, lam: Vec) -> Vec:
         """The dominant W_0-orbit representative of a cocharacter."""
-        best = tuple(lam)
         for w in self.W0.elements:
             cand = w.apply_cochar(lam)
             if rdm.is_dominant(self.rd, cand):

@@ -1,5 +1,6 @@
 """Command-line surface: table/JSON output, schema conformance, exit
 codes, environment-variable overrides, and byte-level determinism."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -108,6 +109,20 @@ class TestSatakeTable:
         jsonschema.validate(doc["unit_twisted"], fn_schema)
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ("hecke-mul", "--group", "SL(2)", "7"),
+        ("hecke-mul", "--group", "SL(2)", "-1"),
+        ("hecke-mul", "--group", "SL(2)", "a"),
+        ("ic-convolve", "--group", "GL(2)", "--mu", "a,b", "--lam", "0,0"),
+    ])
+    def test_one_line_error_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--group", "PGL(2)", "--bound", "4")
@@ -143,6 +158,26 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+class TestGoldenBytes:
+    """sha256 of satake-table stdout.  Each table has rows whose keys sort
+    differently as text and as numbers, so a re-sorted table fails."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("--group", "PGL(2)"),
+         "9c90788f0f2f8ac8a50b6a81a0603698f4132dfc82c7ca5da93606b66e15fe58"),
+        (("--group", "PGL(2)", "--json"),
+         "4d1a61e312061a87d41ed1c4908c4a40ddbfc2a82ebae70f0c1cdb9337c9ecac"),
+        (("--group", "GL(2)", "--signed-trace"),
+         "ed73990f960535cea53610e28eba0574e7095186ed61676dd13edeece2f237dc"),
+        (("--group", "GL(2)", "--signed-trace", "--json"),
+         "0d2755ef800afc71a7a87f884736536e13520bebc2c84cde9e6b6c456449d7a8"),
+    ])
+    def test_satake_table(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "satake-table", "--bound", "12", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEnvironmentOverrides:

@@ -63,12 +63,6 @@ def test_bilinear_distributes():
     assert prod == LinComb((("aa", C(1)), ("ab", C(1)), ("ba", C(1)), ("bb", C(1))))
 
 
-def test_map_terms():
-    x = LinComb((("a", C(2)),))
-    doubled = x.map_terms(lambda k, p: LinComb.unit(k, p.scale(2)))
-    assert doubled == LinComb.unit("a", C(4))
-
-
 def test_render():
     x = LinComb((("b", C(2)), ("a", LaurentPoly.one())))
     assert x.render() == "a + 2*b"

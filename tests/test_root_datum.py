@@ -12,7 +12,7 @@ from satake.lattices import vadd, vscale
 
 from oracles import lattice_index_oracle
 
-CATALOG = ["GL(2)", "GL(3)", "SL(2)", "SL(3)", "PGL(2)", "PGL(3)", "Sp(4)", "torus(1)"]
+CATALOG = ["GL(2)", "GL(3)", "SL(2)", "SL(3)", "PGL(2)", "PGL(3)", "Sp(4)", "SO(5)", "torus(1)"]
 
 
 class TestCatalog:
@@ -87,6 +87,11 @@ class TestDual:
         for name in CATALOG:
             rd = catalog(name)
             assert dual(dual(rd)).cartan_matrix() == rd.cartan_matrix()
+
+    @pytest.mark.parametrize("name", CATALOG + ["Sp(4)*SL(2)", "SL(2)*PGL(2)"])
+    def test_dual_name_is_accepted_back(self, name):
+        rd = catalog(name)
+        assert catalog(dual(rd).name) == dual(rd)
 
     def test_pi1_invariants(self):
         assert rdm.pi1_invariants(catalog("GL(2)")) == (1, 1)
