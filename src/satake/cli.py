@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import root_datum as rdm
-from .hecke import SphericalHecke
+from .hecke import HeckeError, SphericalHecke
 from .k0 import ICClass, purity_weight
 from .lattices import Vec
 from .linear import LinComb
@@ -97,12 +97,17 @@ def cmd_hecke_mul(config: RunConfig, args) -> int:
     n_simple = len(sph.W.simple_refs)
     for w in args.words:
         word = () if w in ("e", "") else _parse_ints(w, "words")
+        if word and not n_simple:
+            raise UsageError(f"{rd.name} has no affine simple reflections; the only word is 'e'")
         if any(not 0 <= i < n_simple for i in word):
             raise UsageError(f"word {w!r} has an index outside 0..{n_simple - 1}")
         factors.append(sph.W.word_to_element(word))
     prod = iw.unit()
-    for x in factors:
-        prod = iw.mul(prod, iw.basis(x))
+    try:
+        for x in factors:
+            prod = iw.mul(prod, iw.basis(x))
+    except HeckeError as exc:
+        raise UsageError(f"product too long: {exc}") from None
     rows = sorted(((render_affine(k), str(p)) for k, p in prod.items()))
     if config.json_output:
         print(json.dumps({"factors": [render_affine(x) for x in factors],

@@ -84,7 +84,7 @@ class SatakeK0:
     def sign(self, mu: Vec) -> int:
         if not self.signed_trace:
             return 1
-        return -1 if rdm.d_pairing(self.rd, mu) % 2 else 1
+        return -1 if rdm.parity(self.rd, mu) else 1
 
     def stalk_polynomial(self, mu: Vec, lam: Vec) -> LaurentPoly:
         """h_{mu,lam}(q): the graded stalk dimension polynomial, i.e. the

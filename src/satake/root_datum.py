@@ -61,16 +61,6 @@ class RootDatum:
         return tuple(tuple(self.pair(a, bv) for bv in self.simple_coroots)
                      for a in self.simple_roots)
 
-    def reflect_char(self, i: int, chi: Vec) -> Vec:
-        """Simple reflection s_i acting on the character lattice."""
-        c = self.pair(chi, self.simple_coroots[i])
-        return vsub(chi, lattices.vscale(c, self.simple_roots[i]))
-
-    def reflect_cochar(self, i: int, lam: Vec) -> Vec:
-        """Simple reflection s_i acting on the cocharacter lattice."""
-        c = self.pair(self.simple_roots[i], lam)
-        return vsub(lam, lattices.vscale(c, self.simple_coroots[i]))
-
     def to_json(self) -> str:
         doc = {
             "name": self.name,
@@ -346,7 +336,7 @@ class G1Data:
 def epsilon_value(rd: RootDatum, lam: Vec) -> int:
     """Evaluate the order-two central element on a character of the dual
     torus (= cocharacter of T), giving +-1."""
-    return -1 if rd.pair(rd.two_rho(), tuple(lam)) % 2 else 1
+    return -1 if parity(rd, lam) else 1
 
 
 def g1_data(rd: RootDatum) -> G1Data:

@@ -6,7 +6,7 @@ length formula and the choice of the affine simple reflections.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -21,22 +21,26 @@ class WeylError(RuntimeError):
 
 Mat = tuple[Vec, ...]
 
+# |W_0| above this (the order of the Weyl group of type A_9) is refused
+MAX_W0_ORDER = 3628800
+
 
 @dataclass(frozen=True)
 class FiniteWeylElement:
-    """An element of W_0, stored as its action on both lattices.
+    """An element of W_0, stored as its action on X_*.
 
     ``word`` is a fixed reduced word in simple-reflection indices, found
     by breadth-first enumeration, so it is canonical per group.
+    ``index`` is the position in ``FiniteWeylGroup.elements``, and
+    ``inverted[j]`` is 1 if w^-1 sends the j-th positive root to a
+    negative one, else 0; neither takes part in equality or hashing.
     """
 
-    act_char: Mat    # action on X* (matrix by rows)
-    act_cochar: Mat  # action on X_*
+    act_cochar: Mat  # action on X_* (matrix by rows)
     word: tuple[int, ...]
     length: int
-
-    def apply_char(self, chi: Vec) -> Vec:
-        return mat_vec(self.act_char, chi)
+    index: int = field(compare=False)
+    inverted: tuple[int, ...] = field(compare=False)
 
     def apply_cochar(self, lam: Vec) -> Vec:
         return mat_vec(self.act_cochar, lam)
@@ -45,86 +49,67 @@ class FiniteWeylElement:
         return "w[" + ("e" if not self.word else ".".join(map(str, self.word))) + "]"
 
 
-def _reflection_matrices(rd: RootDatum, i: int) -> tuple[Mat, Mat]:
-    n = rd.rank
-    e = lattices.identity_matrix(n)
-    char_cols = [rd.reflect_char(i, e[j]) for j in range(n)]
-    cochar_cols = [rd.reflect_cochar(i, e[j]) for j in range(n)]
-    # columns are the images of basis vectors; store as row-matrices
-    return lattices.transpose(char_cols), lattices.transpose(cochar_cols)
+def _reflection(rd: RootDatum, beta: Vec, bv: Vec) -> Mat:
+    """The reflection lam -> lam - <beta, lam> bv of X_*, as a row matrix."""
+    ident = lattices.identity_matrix(rd.rank)
+    return lattices.transpose([vsub(e, lattices.vscale(rd.pair(beta, e), bv)) for e in ident])
 
 
 class FiniteWeylGroup:
-    """Complete enumeration of W_0 with cached reduced words."""
+    """Complete enumeration of W_0 with cached reduced words.
 
-    def __init__(self, rd: RootDatum, bound: int = 3628800):
+    Breadth-first search from the identity, multiplying by simple
+    reflections on the right, meets the elements in (length, word) order,
+    so ``elements`` is sorted that way.  Products and inverses walk the
+    canonical words through the table ``right[k][i]`` = index of
+    ``elements[k]`` times s_i.
+    """
+
+    def __init__(self, rd: RootDatum):
         self.rd = rd
-        n = rd.rank
-        ident = lattices.identity_matrix(n)
-        self.identity = FiniteWeylElement(ident, ident, (), 0)
-        self._by_matrix: dict[Mat, FiniteWeylElement] = {ident: self.identity}
-        self.generators = []
-        for i in range(rd.semisimple_rank):
-            ac, aco = _reflection_matrices(rd, i)
-            self.generators.append(FiniteWeylElement(ac, aco, (i,), 1))
+        refl = [_reflection(rd, a, av) for a, av in zip(rd.simple_roots, rd.simple_coroots)]
+        self.elements: list[FiniteWeylElement] = []
+        self._right: list[list[int]] = []
+        by_matrix: dict[Mat, int] = {}
 
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for e in frontier:
-                for i, g in enumerate(self.generators):
-                    ac = lattices.mat_mul(e.act_char, g.act_char)
-                    aco = lattices.mat_mul(e.act_cochar, g.act_cochar)
-                    if aco not in self._by_matrix:
-                        length = self._length_from_matrix(ac)
-                        elem = FiniteWeylElement(ac, aco, e.word + (i,), length)
-                        if len(elem.word) != length:
-                            raise WeylError("BFS produced a non-reduced word")
-                        self._by_matrix[aco] = elem
-                        new.append(elem)
-                        if len(self._by_matrix) > bound:
-                            raise WeylError(f"|W_0| exceeds bound {bound}")
-            frontier = new
-        self.elements = sorted(self._by_matrix.values(), key=lambda w: (w.length, w.word))
-        self._pos_root_set = frozenset(rd.positive_roots)
-        # for each w, the set of positive roots alpha with w^-1(alpha) > 0
-        self._sent_from_pos: dict[FiniteWeylElement, frozenset] = {}
-        for w in self.elements:
-            self._sent_from_pos[w] = frozenset(
-                w.apply_char(beta) for beta in rd.positive_roots)
-        self._inverse: dict[FiniteWeylElement, FiniteWeylElement] = {}
-        for w in self.elements:
-            for v in self.elements:
-                if lattices.mat_mul(w.act_cochar, v.act_cochar) == self.identity.act_cochar:
-                    self._inverse[w] = v
-                    break
+        def add(act: Mat, word: tuple[int, ...]) -> None:
+            # w^-1 alpha > 0 iff alpha^ lies in w(positive coroots)
+            images = frozenset(mat_vec(act, bv) for bv in rd.positive_coroots)
+            inverted = tuple(int(bv not in images) for bv in rd.positive_coroots)
+            if len(word) != sum(inverted):
+                raise WeylError("BFS produced a non-reduced word")
+            by_matrix[act] = len(self.elements)
+            self.elements.append(FiniteWeylElement(act, word, len(word), len(self.elements), inverted))
+            if len(self.elements) > MAX_W0_ORDER:
+                raise WeylError(f"|W_0| exceeds bound {MAX_W0_ORDER}")
 
-    def _length_from_matrix(self, act_char: Mat) -> int:
-        count = 0
-        for beta in self.rd.positive_roots:
-            img = mat_vec(act_char, beta)
-            if img not in frozenset(self.rd.positive_roots):
-                count += 1
-        return count
+        add(lattices.identity_matrix(rd.rank), ())
+        # elements[len(self._right):] is the frontier of the search
+        while len(self._right) < len(self.elements):
+            w = self.elements[len(self._right)]
+            row = []
+            for i, s in enumerate(refl):
+                act = lattices.mat_mul(w.act_cochar, s)
+                if act not in by_matrix:
+                    add(act, w.word + (i,))
+                row.append(by_matrix[act])
+            self._right.append(row)
+        self.identity = self.elements[0]
+        self.generators = [self.elements[k] for k in self._right[0]]
+
+    def _walk(self, k: int, word: Iterable[int]) -> FiniteWeylElement:
+        for i in word:
+            k = self._right[k][i]
+        return self.elements[k]
 
     def mul(self, a: FiniteWeylElement, b: FiniteWeylElement) -> FiniteWeylElement:
-        return self._by_matrix[lattices.mat_mul(a.act_cochar, b.act_cochar)]
+        return self._walk(a.index, b.word)
 
     def inverse(self, a: FiniteWeylElement) -> FiniteWeylElement:
-        return self._inverse[a]
-
-    def simple(self, i: int) -> FiniteWeylElement:
-        return self.generators[i]
-
-    def by_matrix(self, act_cochar: Mat) -> FiniteWeylElement:
-        return self._by_matrix[act_cochar]
+        return self._walk(0, reversed(a.word))
 
     def longest(self) -> FiniteWeylElement:
-        return max(self.elements, key=lambda w: w.length)
-
-    def sends_into_positive(self, w: FiniteWeylElement, alpha: Vec) -> bool:
-        """True iff w^-1(alpha) is a positive root (alpha assumed positive)."""
-        return alpha in self._sent_from_pos[w]
+        return self.elements[-1]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -151,9 +136,12 @@ class AffineWeylGroup:
     """The extended affine Weyl group X_*(T) semidirect W_0 together with
     its affine simple system and length function."""
 
-    def __init__(self, rd: RootDatum, finite_bound: int = 3628800):
+    def __init__(self, rd: RootDatum):
         self.rd = rd
-        self.W0 = FiniteWeylGroup(rd, bound=finite_bound)
+        self.W0 = FiniteWeylGroup(rd)
+        # <alpha, -> as an integer row, one per positive root alpha
+        cols = lattices.transpose(rd.pairing)
+        self._root_rows = tuple(mat_vec(cols, alpha) for alpha in rd.positive_roots)
         self.identity = AffineWeylElement(zero_vec(rd.rank), self.W0.identity)
         self.simple_refs: list[AffineWeylElement] = [
             AffineWeylElement(zero_vec(rd.rank), g) for g in self.W0.generators
@@ -161,7 +149,8 @@ class AffineWeylGroup:
         # one affine reflection per irreducible component: s_0 = t_{theta^} s_theta
         for comp in self._components():
             theta, theta_cov = self._highest_root(comp)
-            s_theta = self._root_reflection(theta, theta_cov)
+            act = _reflection(rd, theta, theta_cov)
+            s_theta = next(w for w in self.W0.elements if w.act_cochar == act)
             self.simple_refs.append(AffineWeylElement(theta_cov, s_theta))
         self._dc_cache: dict[Vec, tuple] = {}
 
@@ -201,12 +190,6 @@ class AffineWeylGroup:
         assert best is not None
         return best[1], best[2]
 
-    def _root_reflection(self, beta: Vec, bv: Vec) -> FiniteWeylElement:
-        n = self.rd.rank
-        e = lattices.identity_matrix(n)
-        cochar_cols = [vsub(e[j], lattices.vscale(self.rd.pair(beta, e[j]), bv)) for j in range(n)]
-        return self.W0.by_matrix(lattices.transpose(cochar_cols))
-
     # -- group operations ---------------------------------------------
 
     def translation(self, lam: Vec) -> AffineWeylElement:
@@ -236,17 +219,11 @@ class AffineWeylGroup:
     # -- length, reduced words, Bruhat order --------------------------
 
     def im_length(self, x: AffineWeylElement) -> int:
-        """Iwahori-Matsumoto length of t_lam w."""
-        rd = self.rd
-        lam, w = x.translation, x.finite
-        total = 0
-        for alpha in rd.positive_roots:
-            c = rd.pair(alpha, lam)
-            if self.W0.sends_into_positive(w, alpha):
-                total += abs(c)
-            else:
-                total += abs(c - 1)
-        return total
+        """Iwahori-Matsumoto length of t_lam w: the sum over positive roots
+        alpha of |<alpha, lam>| if w^-1 alpha > 0, else |<alpha, lam> - 1|."""
+        lam = x.translation
+        return sum(abs(sum(r * c for r, c in zip(row, lam)) - inv)
+                   for row, inv in zip(self._root_rows, x.finite.inverted))
 
     def reduced_word(self, x: AffineWeylElement) -> tuple[tuple[int, ...], AffineWeylElement]:
         """Left-greedy reduced word; returns (word, omega) with

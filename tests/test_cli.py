@@ -115,6 +115,8 @@ class TestInputErrors:
         ("hecke-mul", "--group", "SL(2)", "-1"),
         ("hecke-mul", "--group", "SL(2)", "a"),
         ("ic-convolve", "--group", "GL(2)", "--mu", "a,b", "--lam", "0,0"),
+        ("hecke-mul", "--group", "SL(2)", ",".join(str(k % 2) for k in range(66))),
+        ("hecke-mul", "--group", "torus(1)", "0"),
     ])
     def test_one_line_error_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

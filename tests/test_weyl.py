@@ -34,19 +34,46 @@ class TestFiniteWeylGroup:
             for b in W0.elements:
                 assert W0.mul(a, b) in W0.elements
 
+    @pytest.mark.parametrize("name", ["GL(4)", "Sp(4)*SL(2)"])
+    def test_mul_and_inverse_agree_with_the_action(self, name):
+        rd = catalog(name)
+        W0 = finite_weyl_group(rd)
+        basis = [tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank)]
+        for a in W0.elements:
+            assert W0.mul(a, W0.inverse(a)) == W0.identity
+            for b in W0.elements:
+                ab = W0.mul(a, b)
+                for v in basis:
+                    assert ab.apply_cochar(v) == a.apply_cochar(b.apply_cochar(v))
+
+    @pytest.mark.parametrize("name", ["GL(2)", "SL(3)", "Sp(4)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_elements_in_length_word_order(self, name):
+        W0 = finite_weyl_group(catalog(name))
+        assert W0.elements == sorted(W0.elements, key=lambda w: (w.length, w.word))
+        assert W0.elements[0] == W0.identity
+
     def test_inverse(self):
         W0 = finite_weyl_group(catalog("Sp(4)"))
         for w in W0.elements:
             assert W0.mul(w, W0.inverse(w)) == W0.identity
             assert W0.inverse(w).length == w.length
 
-    def test_length_counts_inverted_roots(self):
-        rd = catalog("SL(3)")
+    @pytest.mark.parametrize("name", ["SL(3)", "Sp(4)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_length_counts_inverted_roots(self, name):
+        rd = catalog(name)
         W0 = finite_weyl_group(rd)
         pos = set(rd.positive_roots)
+
+        def act_char(word, chi):
+            # s_i chi = chi - <chi, alpha_i^> alpha_i, rightmost letter first
+            for i in reversed(word):
+                c = rd.pair(chi, rd.simple_coroots[i])
+                chi = tuple(x - c * a for x, a in zip(chi, rd.simple_roots[i]))
+            return chi
+
         for w in W0.elements:
             inverted = sum(1 for beta in rd.positive_roots
-                           if w.apply_char(beta) not in pos)
+                           if act_char(w.word, beta) not in pos)
             assert inverted == w.length
 
     def test_longest_element(self):
