@@ -17,7 +17,7 @@ from .k0 import ICClass, purity_weight
 from .lattices import Vec
 from .linear import LinComb
 from .rep_ring import G1RepClass
-from .root_datum import RootDatum, RootDatumError, catalog
+from .root_datum import RootDatumError
 from .verify import RunConfig, run_all
 from .weyl import render_affine
 
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.bound < 0:
-        print("bound must be >= 0", file=sys.stderr)
+        print("error: bound must be >= 0", file=sys.stderr)
         return 2
     config = RunConfig(group=args.group, bound=args.bound,
                        signed_trace=args.signed_trace,

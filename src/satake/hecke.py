@@ -74,6 +74,24 @@ class IwahoriHecke:
 
         return LinComb(terms())
 
+    def mul_w0_sum(self, a: LinComb) -> LinComb:
+        """a times the sum of T_w over w in W_0.
+
+        The BFS word of each w in W_0 is the word of its parent w s_i
+        followed by i, and the length goes up by one, so
+        a T_w = (a T_{w s_i}) T_{s_i}: one simple step per element of W_0.
+        """
+        for x in a.keys():
+            if self.W.im_length(x) > self.length_bound:
+                raise HeckeError(f"key length exceeds bound {self.length_bound}")
+        W0 = self.W.W0
+        prods = [a]  # prods[k] = a T_w for w = W0.elements[k]
+        for w in W0.elements[1:]:
+            i = w.word[-1]
+            parent = W0.mul(w, W0.generators[i])
+            prods.append(self._mul_simple_right(prods[parent.index], i))
+        return LinComb(t for p in prods for t in p.items())
+
 
 class SphericalHecke:
     """The spherical Hecke algebra with basis c_mu, with both the
@@ -112,11 +130,26 @@ class SphericalHecke:
         return LinComb((x, LaurentPoly.one()) for x in coset)
 
     def c_mul_iwahori(self, mu: Vec, lam: Vec) -> LinComb:
-        """c_mu * c_lam through Iwahori multiplication of indicators and
-        exact division by the Poincare polynomial of W_0.
+        """c_mu * c_lam through the Iwahori-Hecke algebra, as
+        (1_mu T_x 1_W0) / P_{W_x}(q).
 
-        The result of the division must be constant on every spherical
-        double coset (bi-invariance); any failure is fatal.
+        Here 1_nu is the sum of T_y over the double coset W_0 t_nu W_0,
+        1_W0 = 1_0, x is the minimal element of W_0 t_lam W_0 and
+        W_x = W_0 cap x W_0 x^-1, the stabiliser in W_0 of the
+        translation part of x.  The spherical product is
+        c_mu * c_lam = 1_mu 1_lam / P_{W_0}(q).  Why the reduction holds:
+
+        * every y in W_0 x W_0 is uniquely u x v with lengths adding,
+          where u runs over the minimal representatives of W_0 / W_x and
+          v over W_0, so 1_lam = sum_u T_u T_x 1_W0;
+        * 1_mu T_s = q 1_mu for every finite simple s, so
+          1_mu T_u = q^l(u) 1_mu, and sum_u q^l(u) = P_{W_0} / P_{W_x};
+        * hence 1_mu 1_lam = (P_{W_0} / P_{W_x}) 1_mu T_x 1_W0.
+
+        The product 1_mu T_x 1_W0 is still a bi-invariant function: its
+        support must fill whole double cosets, it must be constant on
+        each, and each value must divide exactly by P_{W_x}; any failure
+        is fatal.
         """
         mu = rdm.assert_dominant(self.rd, mu)
         lam = rdm.assert_dominant(self.rd, lam)
@@ -124,13 +157,15 @@ class SphericalHecke:
         cached = self._c_mul_cache.get(key)
         if cached is not None:
             return cached
-        prod = self.iwahori.mul(self.indicator_from_iwahori(mu),
-                                self.indicator_from_iwahori(lam))
-        pw = self.poincare_polynomial()
+        _, x, _ = self.W.spherical_double_coset(lam)
+        prod = self.iwahori.mul_w0_sum(
+            self.iwahori.mul(self.indicator_from_iwahori(mu), self.iwahori.basis(x)))
+        pwx = LaurentPoly((w.length, 1) for w in self.W.W0.elements
+                          if w.apply_cochar(x.translation) == x.translation)
         by_coset: dict[Vec, dict] = {}
-        for x, p in prod.items():
-            nu = self.W.dominant_representative(x.translation)
-            by_coset.setdefault(nu, {})[x] = p
+        for y, p in prod.items():
+            nu = self.W.dominant_representative(y.translation)
+            by_coset.setdefault(nu, {})[y] = p
         out = []
         for nu, coeffs in sorted(by_coset.items()):
             coset, _, _ = self.W.spherical_double_coset(nu)
@@ -139,7 +174,7 @@ class SphericalHecke:
             values = set(coeffs.values())
             if len(values) != 1:
                 raise HeckeError(f"product is not bi-invariant on the double coset of {nu}")
-            p = next(iter(values)).divexact(pw)
+            p = next(iter(values)).divexact(pwx)
             out.append((nu, p))
         result = LinComb(out)
         self._c_mul_cache[key] = result

@@ -12,7 +12,6 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
 
 from . import lattices
 from .lattices import Vec, mat_vec, vadd, vsub, zero_vec

@@ -2,6 +2,9 @@
 codes, environment-variable overrides, and byte-level determinism."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -9,7 +12,8 @@ import pytest
 
 from satake.cli import main
 
-SCHEMA_DIR = Path(__file__).parent.parent / "src" / "satake" / "schemas"
+SRC_DIR = Path(__file__).parent.parent / "src"
+SCHEMA_DIR = SRC_DIR / "satake" / "schemas"
 
 
 def load_schema(name):
@@ -55,6 +59,16 @@ class TestDescribe:
     def test_negative_bound_rejected(self, capsys):
         code, _, err = run(capsys, "describe", "--group", "GL(2)", "--bound", "-1")
         assert code == 2
+        assert err == "error: bound must be >= 0\n"
+
+    def test_python_dash_m(self, capsys):
+        _, expected, _ = run(capsys, "describe", "--group", "GL(2)")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC_DIR)] + ([path] if path else [])))
+        proc = subprocess.run([sys.executable, "-m", "satake", "describe", "--group", "GL(2)"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout == expected
 
 
 class TestHeckeMul:

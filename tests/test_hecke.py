@@ -11,6 +11,7 @@ from satake import LaurentPoly, LinComb, catalog
 from satake.hecke import IwahoriHecke, SphericalHecke, HeckeError
 from satake.laurent import ONE
 from satake.rep_ring import G1RepClass
+from satake.verify import dominant_pairs
 from satake.weyl import affine_weyl_group
 
 from test_weyl import random_element
@@ -80,6 +81,22 @@ class TestIwahori:
         big = iw.basis(iw.W.translation((10,)))
         with pytest.raises(HeckeError):
             iw.mul(big, big)
+        with pytest.raises(HeckeError):
+            iw.mul_w0_sum(big)
+
+    @pytest.mark.parametrize("name", ["GL(3)", "Sp(4)*SL(2)", "torus(1)"])
+    def test_mul_w0_sum_is_product_with_finite_sum(self, name):
+        iw = IwahoriHecke(catalog(name))
+        W = iw.W
+        w0_sum = LinComb((W.from_finite(w), ONE) for w in W.W0.elements)
+        rng = random.Random(47)
+        for _ in range(5):
+            a = LinComb((random_element(W, rng),
+                         LaurentPoly.q(rng.randrange(-2, 3), rng.randrange(-3, 4)))
+                        for _ in range(3))
+            assert iw.mul_w0_sum(a) == iw.mul(a, w0_sum)
+            if len(W.W0) == 1:
+                assert iw.mul_w0_sum(a) == a
 
 
 class TestIndicators:
@@ -146,6 +163,35 @@ class TestSphericalProducts:
         sph = SphericalHecke(rd, signed_trace=True)
         for mu, lam in [((1,), (1,)), ((2,), (1,)), ((2,), (2,))]:
             assert sph.c_mul_iwahori(mu, lam) == sph.c_mul_satake(mu, lam)
+
+
+def textbook_c_mul(sph, mu, lam):
+    """c_mu * c_lam from the whole indicators: 1_mu 1_lam, grouped by
+    double coset, with one value per coset divided exactly by P_{W_0}."""
+    prod = sph.iwahori.mul(sph.indicator_from_iwahori(mu), sph.indicator_from_iwahori(lam))
+    by_coset = {}
+    for y, p in prod.items():
+        by_coset.setdefault(sph.W.dominant_representative(y.translation), {})[y] = p
+    out = []
+    for nu, coeffs in by_coset.items():
+        assert set(coeffs) == sph.W.spherical_double_coset(nu)[0]
+        values = set(coeffs.values())
+        assert len(values) == 1
+        out.append((nu, values.pop().divexact(sph.poincare_polynomial())))
+    return LinComb(out)
+
+
+class TestReduction:
+    @pytest.mark.parametrize("name, dmax, signed", [
+        ("SL(3)", 6, False), ("Sp(4)", 6, False), ("GL(3)", 4, False),
+        ("Sp(4)*SL(2)", 2, False), ("PGL(2)", 4, True),
+    ])
+    def test_matches_whole_indicator_product(self, name, dmax, signed):
+        sph = SphericalHecke(catalog(name), signed_trace=signed)
+        pairs = list(dominant_pairs(sph.rd, dmax))
+        assert pairs
+        for mu, lam in pairs:
+            assert sph.c_mul_iwahori(mu, lam) == textbook_c_mul(sph, mu, lam), (mu, lam)
 
 
 class TestTraceFunctions:
