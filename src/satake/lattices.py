@@ -1,13 +1,15 @@
-"""Small exact integer/rational linear algebra helpers.
+"""Small exact integer linear algebra helpers.
 
 Everything here operates on tuples of ints (lattice vectors) or lists of
-such tuples, with Fractions used internally for rational solves.  The
-matrices involved are tiny (rank <= 10), so no attempt at asymptotic
-cleverness is made.
+such tuples, and every step is integer arithmetic.  The one linear solver
+is ``integer_solve``: it reads the column Hermite normal form of its basis,
+which ``column_hnf`` computes once per basis and memoises, and
+forward-substitutes.  The matrices involved are tiny (rank <= 10), so no
+attempt at asymptotic cleverness is made.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Optional, Sequence
@@ -35,6 +37,11 @@ def zero_vec(rank: int) -> Vec:
     return (0,) * rank
 
 
+def combination(coeffs: Sequence[int], vectors: Sequence[Vec], dim: int) -> Vec:
+    """sum_j coeffs[j] * vectors[j], a vector of length dim."""
+    return tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(dim))
+
+
 def mat_vec(rows: Sequence[Vec], v: Vec) -> Vec:
     return tuple(sum(r[i] * v[i] for i in range(len(v))) for r in rows)
 
@@ -54,56 +61,9 @@ def identity_matrix(n: int) -> tuple[Vec, ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def solve_rational(columns: Sequence[Vec], target: Vec) -> Optional[tuple[Fraction, ...]]:
-    """Solve sum_j x_j * columns[j] = target over Q.
-
-    Returns the coefficient tuple, or None if the system is inconsistent.
-    If the columns are linearly dependent a particular solution with zeros
-    on the free variables is returned.
-    """
-    m = len(target)
-    n = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(target[i])] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for r, c in pivots:
-        sol[c] = aug[r][n]
-    # With free variables zeroed the candidate must be re-checked.
-    for i in range(m):
-        if sum(Fraction(columns[j][i]) * sol[j] for j in range(n)) != target[i]:
-            return None
-    return tuple(sol)
-
-
-def solve_integer_combination(columns: Sequence[Vec], target: Vec) -> Optional[Vec]:
-    """Solve over Q and keep the result only if it is integral."""
-    sol = solve_rational(columns, target)
-    if sol is None or any(f.denominator != 1 for f in sol):
-        return None
-    return tuple(int(f) for f in sol)
-
-
-def column_hnf(columns: Sequence[Vec]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """Column-style Hermite normal form.
+@lru_cache(maxsize=None)
+def column_hnf(columns: tuple[Vec, ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Column-style Hermite normal form, memoised per (hashable) basis.
 
     Returns (H, U) where U is unimodular (given as a list of columns over
     the original column index set) and the columns of H are the original
@@ -170,7 +130,7 @@ def column_hnf(columns: Sequence[Vec]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]
 
 def hnf_basis(columns: Sequence[Vec]) -> tuple[Vec, ...]:
     """Nonzero HNF columns spanning the same lattice as ``columns``."""
-    h, _ = column_hnf(columns)
+    h, _ = column_hnf(tuple(columns))
     return tuple(c for c in h if any(c))
 
 
@@ -207,54 +167,48 @@ def lattice_quotient_invariants(columns: Sequence[Vec], rank: int) -> tuple[int,
     return free_rank, (g if g else 1)
 
 
-def int_det(mat: list[list[int]]) -> int:
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        sel = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if sel is None:
-            return 0
-        if sel != col:
-            a[col], a[sel] = a[sel], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
-    return int(det)
+def int_det(mat: Sequence[Sequence[int]]) -> int:
+    """Determinant by fraction-free (Bareiss) elimination: every division
+    is exact, so all intermediate entries are integers."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            sel = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if sel is None:
+                return 0
+            a[k], a[sel] = a[sel], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
-def integer_solve(rows: Sequence[Vec], target: Vec) -> Optional[Vec]:
-    """Find x in Z^n with (rows)·x = target, or None.
+def integer_solve(columns: Sequence[Vec], target: Vec) -> Optional[Vec]:
+    """Find x in Z^n with sum_j x_j * columns[j] = target, or None.
 
-    ``rows`` is an s x n integer matrix given by rows.
+    ``columns`` is the basis, n integer vectors of the length of ``target``.
     """
-    n = len(rows[0]) if rows else 0
-    acols = [tuple(r[j] for r in rows) for j in range(n)]
-    h, u = column_hnf(acols)
+    h, u = column_hnf(tuple(columns))
     # forward-substitute H y = target on pivot structure
-    s = len(target)
-    y = [0] * n
+    y = []
     w = list(target)
-    for j in range(n):
-        col = h[j]
-        pivot = next((i for i in range(s) if col[i] != 0), None)
+    for col in h:
+        pivot = next((i for i, c in enumerate(col) if c != 0), None)
         if pivot is None:
+            y.append(0)
             continue
-        if w[pivot] % col[pivot] != 0:
+        k, r = divmod(w[pivot], col[pivot])
+        if r:
             return None
-        k = w[pivot] // col[pivot]
-        y[j] = k
-        for i in range(s):
-            w[i] -= k * col[i]
+        y.append(k)
+        for i, c in enumerate(col):
+            w[i] -= k * c
     if any(w):
         return None
-    x = tuple(sum(u[j][i] * y[j] for j in range(n)) for i in range(n))
-    assert mat_vec(rows, x) == tuple(target)
+    x = tuple(sum(uj[i] * yj for uj, yj in zip(u, y)) for i in range(len(u)))
+    assert combination(x, columns, len(target)) == tuple(target)
     return x

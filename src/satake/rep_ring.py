@@ -16,7 +16,7 @@ from .lattices import Vec, vadd, vsub, zero_vec
 from .laurent import LaurentPoly
 from .linear import LinComb
 from .root_datum import RootDatum
-from .weyl import finite_weyl_group
+from .weyl import affine_weyl_group, finite_weyl_group
 
 
 class RepRingError(RuntimeError):
@@ -29,29 +29,16 @@ class RepRing:
     def __init__(self, rd: RootDatum):
         self.rd = rd
         self.W0 = finite_weyl_group(rd)
-        cols = rd.simple_coroots
-        self._coroot_cols = cols
-        # positive coroots expressed in simple-coroot coordinates
-        self._pos_coords = []
-        for gamma in rd.positive_coroots:
-            c = lattices.solve_integer_combination(cols, gamma)
-            assert c is not None
-            self._pos_coords.append(c)
         self._kostant_cache: dict[tuple, LaurentPoly] = {}
         self._char_cache: dict[Vec, dict[Vec, int]] = {}
         self._tensor_cache: dict[tuple[Vec, Vec], dict[Vec, int]] = {}
 
     # -- q-Kostant partition function ---------------------------------
 
-    def _to_coroot_coords(self, v: Vec):
-        if not self._coroot_cols:
-            return None if any(v) else ()
-        return lattices.solve_integer_combination(self._coroot_cols, v)
-
     def kostant_partition(self, v: Vec, q_graded: bool = True) -> LaurentPoly:
         """Sum over multisets of positive coroots with sum v of
         q^(multiset size); zero if v is not a nonnegative combination."""
-        coords = self._to_coroot_coords(tuple(v))
+        coords = rdm.coroot_coords(self.rd, v)
         if coords is None or any(c < 0 for c in coords):
             return LaurentPoly.zero()
         p = self._kostant_graded(coords, 0)
@@ -62,13 +49,14 @@ class RepRing:
     def _kostant_graded(self, coords: tuple[int, ...], i: int) -> LaurentPoly:
         if not any(coords):
             return LaurentPoly.one()
-        if i == len(self._pos_coords):
+        pos_coords = self.rd.positive_coroot_coords
+        if i == len(pos_coords):
             return LaurentPoly.zero()
         key = (coords, i)
         cached = self._kostant_cache.get(key)
         if cached is not None:
             return cached
-        gamma = self._pos_coords[i]
+        gamma = pos_coords[i]
 
         def rests():
             # coords minus k * gamma for k = 0, 1, ... while nonnegative
@@ -129,7 +117,7 @@ class RepRing:
         if cached is not None:
             return cached
         char: dict[Vec, int] = {}
-        aw = self._affine()
+        aw = affine_weyl_group(self.rd)
         for lam in rdm.dominant_below(self.rd, mu):
             m = self.weight_multiplicity(mu, lam)
             if m == 0:
@@ -138,10 +126,6 @@ class RepRing:
                 char[nu] = m
         self._char_cache[mu] = char
         return char
-
-    def _affine(self):
-        from .weyl import affine_weyl_group
-        return affine_weyl_group(self.rd)
 
     def weyl_dim(self, mu: Vec) -> int:
         return sum(self.character(mu).values())

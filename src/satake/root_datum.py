@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Optional
 
 from . import lattices
-from .lattices import Vec, mat_vec, vadd, vsub, zero_vec
+from .lattices import Vec, mat_vec, vsub, zero_vec
 
 
 class RootDatumError(ValueError):
@@ -23,7 +24,14 @@ class RootDatumError(ValueError):
 
 @dataclass(frozen=True)
 class RootDatum:
-    """A based root datum; immutable and hashable, safe to share."""
+    """A based root datum; immutable and hashable, safe to share.
+
+    ``positive_root_coords[k]`` holds the simple-root coordinates of
+    ``positive_roots[k]``, ``positive_coroot_coords[k]`` the simple-coroot
+    coordinates of ``positive_coroots[k]``, and ``two_rho_row`` is the
+    functional <2rho, -> on X_* as an integer row; all three are derived
+    from the other fields and take no part in equality or hashing.
+    """
 
     name: str
     rank: int
@@ -32,11 +40,13 @@ class RootDatum:
     simple_coroots: tuple[Vec, ...]   # in X_*, bijective with simple_roots
     positive_roots: tuple[Vec, ...]   # aligned with positive_coroots
     positive_coroots: tuple[Vec, ...]
+    positive_root_coords: tuple[Vec, ...] = field(compare=False)
+    positive_coroot_coords: tuple[Vec, ...] = field(compare=False)
+    two_rho_row: Vec = field(compare=False)
 
     def pair(self, chi: Vec, lam: Vec) -> int:
         """The bilinear pairing <chi, lam> of a character with a cocharacter."""
-        return sum(self.pairing[i][j] * chi[i] * lam[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return _pair(self.pairing, chi, lam)
 
     @property
     def semisimple_rank(self) -> int:
@@ -44,17 +54,11 @@ class RootDatum:
 
     def two_rho(self) -> Vec:
         """Sum of the positive roots, an element of X*."""
-        v = zero_vec(self.rank)
-        for beta in self.positive_roots:
-            v = vadd(v, beta)
-        return v
+        return lattices.combination((1,) * len(self.positive_roots), self.positive_roots, self.rank)
 
     def two_rho_hat(self) -> Vec:
         """Sum of the positive coroots, an element of X_*."""
-        v = zero_vec(self.rank)
-        for beta in self.positive_coroots:
-            v = vadd(v, beta)
-        return v
+        return lattices.combination((1,) * len(self.positive_coroots), self.positive_coroots, self.rank)
 
     def cartan_matrix(self) -> tuple[Vec, ...]:
         return tuple(tuple(self.pair(a, bv) for bv in self.simple_coroots)
@@ -74,38 +78,41 @@ class RootDatum:
         return f"RootDatum({self.name})"
 
 
-def _saturate_positives(rank, pairing, simple_roots, simple_coroots):
-    """Close the simple (root, coroot) pairs under simple reflections,
-    keeping those in the nonnegative cone of simple roots."""
-    def pair(chi, lam):
-        return sum(pairing[i][j] * chi[i] * lam[j] for i in range(rank) for j in range(rank))
+def _pair(pairing, chi, lam) -> int:
+    return sum(c * sum(p * x for p, x in zip(row, lam)) for c, row in zip(chi, pairing))
 
+
+def _saturate_positives(pairing, simple_roots, simple_coroots):
+    """Close the simple (root, coroot) pairs under simple reflections,
+    keeping those in the nonnegative cone of simple roots.
+
+    Returns the positive roots and coroots, sorted by height, with their
+    coordinates in the simple roots and in the simple coroots."""
     n = len(simple_roots)
-    # track the coefficient vector of each root in the simple-root basis
-    items = {simple_roots[i]: (simple_coroots[i], tuple(1 if j == i else 0 for j in range(n)))
-             for i in range(n)}
+    unit = lattices.identity_matrix(n)
+    # root -> (coroot, simple-root coordinates, simple-coroot coordinates)
+    items = {simple_roots[i]: (simple_coroots[i], unit[i], unit[i]) for i in range(n)}
     frontier = list(items)
     while frontier:
         new = []
         for beta in frontier:
-            bv, coeffs = items[beta]
+            bv, coeffs, co_coeffs = items[beta]
             for i in range(n):
-                c = pair(beta, simple_coroots[i])
+                # s_i beta = beta - <beta, alpha_i^> alpha_i
+                c = _pair(pairing, beta, simple_coroots[i])
                 nbeta = vsub(beta, lattices.vscale(c, simple_roots[i]))
-                ncoeffs = tuple(coeffs[j] - (c if j == i else 0) for j in range(n))
+                ncoeffs = vsub(coeffs, lattices.vscale(c, unit[i]))
                 if all(x >= 0 for x in ncoeffs) and nbeta not in items:
-                    cb = pair(simple_roots[i], bv)
+                    # s_i beta^ = beta^ - <alpha_i, beta^> alpha_i^
+                    cb = _pair(pairing, simple_roots[i], bv)
                     nbv = vsub(bv, lattices.vscale(cb, simple_coroots[i]))
-                    items[nbeta] = (nbv, ncoeffs)
+                    items[nbeta] = (nbv, ncoeffs, vsub(co_coeffs, lattices.vscale(cb, unit[i])))
                     new.append(nbeta)
         frontier = new
     # sort by height then lexicographically, for stable output
-    def height(beta):
-        return sum(items[beta][1])
-    ordered = sorted(items, key=lambda b: (height(b), b))
-    roots = tuple(ordered)
-    coroots = tuple(items[b][0] for b in ordered)
-    return roots, coroots
+    ordered = sorted(items, key=lambda b: (sum(items[b][1]), b))
+    coroots, coords, co_coords = (tuple(items[b][k] for b in ordered) for k in range(3))
+    return tuple(ordered), coroots, coords, co_coords
 
 
 def make_root_datum(name, rank, pairing, simple_roots, simple_coroots) -> RootDatum:
@@ -116,8 +123,11 @@ def make_root_datum(name, rank, pairing, simple_roots, simple_coroots) -> RootDa
     simple_coroots = tuple(tuple(r) for r in simple_coroots)
     if len(simple_roots) != len(simple_coroots):
         raise RootDatumError("simple roots and coroots must biject")
-    pos_roots, pos_coroots = _saturate_positives(rank, pairing, simple_roots, simple_coroots)
-    rd = RootDatum(name, rank, pairing, simple_roots, simple_coroots, pos_roots, pos_coroots)
+    pos_roots, pos_coroots, root_coords, coroot_coords = \
+        _saturate_positives(pairing, simple_roots, simple_coroots)
+    two_rho = lattices.combination((1,) * len(pos_roots), pos_roots, rank)
+    rd = RootDatum(name, rank, pairing, simple_roots, simple_coroots, pos_roots, pos_coroots,
+                   root_coords, coroot_coords, mat_vec(lattices.transpose(pairing), two_rho))
     _validate(rd)
     return rd
 
@@ -131,9 +141,13 @@ def _validate(rd: RootDatum) -> None:
         for j in range(n):
             if i != j and cartan[i][j] > 0:
                 raise RootDatumError("positive off-diagonal Cartan entry")
-    for beta, bv in zip(rd.positive_roots, rd.positive_coroots):
+    for beta, bv, c, cv in zip(rd.positive_roots, rd.positive_coroots,
+                               rd.positive_root_coords, rd.positive_coroot_coords):
         if rd.pair(beta, bv) != 2:
             raise RootDatumError(f"<beta, beta^> != 2 for {beta}")
+        if lattices.combination(c, rd.simple_roots, rd.rank) != beta or \
+                lattices.combination(cv, rd.simple_coroots, rd.rank) != bv:
+            raise RootDatumError(f"stored simple (co)root coordinates miss {beta}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,35 +299,28 @@ def dominance_leq(rd: RootDatum, lam: Vec, mu: Vec) -> bool:
     lam, mu = tuple(lam), tuple(mu)
     if len(lam) != rd.rank or len(mu) != rd.rank:
         raise RootDatumError("rank mismatch in dominance comparison")
-    diff = vsub(mu, lam)
-    if not any(diff):
-        return True
-    if not rd.simple_coroots:
-        return False
-    sol = lattices.solve_integer_combination(rd.simple_coroots, diff)
+    sol = coroot_coords(rd, vsub(mu, lam))
     return sol is not None and all(c >= 0 for c in sol)
+
+
+def coroot_coords(rd: RootDatum, v: Vec) -> Optional[Vec]:
+    """The coordinates of v in the simple coroots, or None if v is not an
+    integer combination of them."""
+    return lattices.integer_solve(rd.simple_coroots, tuple(v))
 
 
 def d_pairing(rd: RootDatum, mu: Vec) -> int:
     """d_mu = <2rho, mu>, the relative dimension of the Schubert cell."""
-    return rd.pair(rd.two_rho(), tuple(mu))
+    return sum(r * x for r, x in zip(rd.two_rho_row, mu))
 
 
 def parity(rd: RootDatum, mu: Vec) -> int:
     return d_pairing(rd, mu) % 2
 
 
-@lru_cache(maxsize=None)
-def _coroot_hnf(rd: RootDatum):
-    cols = [c for c in rd.simple_coroots if any(c)]
-    if not cols:
-        return ()
-    return lattices.hnf_basis(cols)
-
-
 def pi1_label(rd: RootDatum, lam: Vec) -> Vec:
     """Canonical label of the class of lam in X_* / (coroot lattice)."""
-    return lattices.reduce_mod_lattice(tuple(lam), _coroot_hnf(rd))
+    return lattices.reduce_mod_lattice(tuple(lam), lattices.hnf_basis(rd.simple_coroots))
 
 
 def pi1_invariants(rd: RootDatum) -> tuple[int, int]:
@@ -372,21 +379,17 @@ def dominant_reps(rd: RootDatum, dmax: int) -> list[Vec]:
     if n == 0:
         return [zero_vec(rd.rank)]
     # d = sum_i m_i * <alpha_i, mu> where m_i counts occurrences of alpha_i
-    # in the positive roots
-    weights = []
-    for i in range(n):
-        total = 0
-        for beta in rd.positive_roots:
-            coeffs = lattices.solve_integer_combination(rd.simple_roots, beta)
-            total += coeffs[i]
-        weights.append(total)
-    rows = tuple(mat_vec(rd.pairing, a) for a in rd.simple_roots)  # <alpha_i, -> as row functionals
+    # in the positive roots: the column sums of their simple-root coordinates
+    weights = lattices.combination((1,) * len(rd.positive_roots), rd.positive_root_coords, n)
+    # column j holds the pairings <alpha_i, e_j> of the simple roots with
+    # the j-th basis vector of X_*
+    columns = tuple(mat_vec(rd.simple_roots, c) for c in lattices.transpose(rd.pairing))
 
     out = []
 
     def rec(i, remaining, acc):
         if i == n:
-            sol = lattices.integer_solve(rows, tuple(acc))
+            sol = lattices.integer_solve(columns, tuple(acc))
             if sol is not None:
                 out.append(sol)
             return

@@ -179,8 +179,8 @@ class AffineWeylGroup:
 
     def _highest_root(self, comp: list[int]) -> tuple[Vec, Vec]:
         best = None
-        for beta, bv in zip(self.rd.positive_roots, self.rd.positive_coroots):
-            coeffs = lattices.solve_integer_combination(self.rd.simple_roots, beta)
+        rd = self.rd
+        for beta, bv, coeffs in zip(rd.positive_roots, rd.positive_coroots, rd.positive_root_coords):
             support = [i for i, c in enumerate(coeffs) if c != 0]
             if not set(support) <= set(comp):
                 continue

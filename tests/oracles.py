@@ -9,7 +9,9 @@ algorithm than the library uses, so agreement is meaningful:
   Freudenthal multiplicities (the library uses character products with
   greedy highest-weight extraction);
 * partition counts by literal multiset enumeration;
-* lattice indices by brute-force coset enumeration.
+* lattice indices by brute-force coset enumeration, with membership
+  decided by Cramer's rule over Leibniz determinants (the library uses
+  Hermite normal forms and Bareiss elimination).
 """
 from __future__ import annotations
 
@@ -122,15 +124,38 @@ def partition_count_oracle(rd: RootDatum, v, max_height: int = 12):
     return sorted(sizes)
 
 
+def leibniz_det(mat) -> int:
+    """Determinant as the signed sum over all permutations (Leibniz)."""
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = -1 if inversions % 2 else 1
+        for i, p in enumerate(perm):
+            term *= mat[i][p]
+        total += term
+    return total
+
+
 def lattice_index_oracle(columns, rank: int, box: int = 4) -> int:
     """Number of cosets of the integer span of ``columns`` inside Z^rank
-    met by the box [-box, box]^rank, by pairwise difference tests."""
-    from satake.lattices import solve_integer_combination
+    met by the box [-box, box]^rank, by pairwise difference tests.
+
+    The columns must form a nonsingular rank x rank matrix A; v lies in
+    their integer span iff every Cramer quotient det(A_j(v)) / det(A) is
+    an integer, A_j(v) being A with its j-th column replaced by v."""
+    cols = [tuple(c) for c in columns]
+    assert len(cols) == rank
+
+    def det_of_columns(cs):
+        return leibniz_det([[c[i] for c in cs] for i in range(rank)])
+
+    det = det_of_columns(cols)
+    assert det != 0
 
     def in_span(v):
-        if not any(v):
-            return True
-        return solve_integer_combination(tuple(columns), tuple(v)) is not None
+        return all(det_of_columns(cols[:j] + [v] + cols[j + 1:]) % det == 0
+                   for j in range(rank))
 
     reps: list[tuple] = []
     for v in itertools.product(range(-box, box + 1), repeat=rank):

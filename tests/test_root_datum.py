@@ -79,9 +79,14 @@ class TestDual:
     def test_sl3_dual_is_pgl3_with_index_three(self):
         dd = dual(catalog("SL(3)"))
         assert dd.name == "PGL(3)"
-        # brute-force coset enumeration of X_* modulo the coroot span
-        assert lattice_index_oracle(dd.simple_coroots, dd.rank) == 3
         assert rdm.pi1_invariants(dd) == (0, 3)
+
+    @pytest.mark.parametrize("name", ["SL(2)", "SL(3)", "PGL(2)", "PGL(3)", "Sp(4)", "SO(5)",
+                                      "PGL(2)*PGL(3)", "SO(5)*PGL(2)"])
+    def test_pi1_torsion_matches_coset_count(self, name):
+        rd = catalog(name)
+        # brute-force coset enumeration of X_* modulo the coroot span
+        assert rdm.pi1_invariants(rd) == (0, lattice_index_oracle(rd.simple_coroots, rd.rank))
 
     def test_double_dual_cartan(self):
         for name in CATALOG:
@@ -198,6 +203,17 @@ class TestEnumeration:
             for mu in reps:
                 assert rdm.is_dominant(rd, mu)
                 assert rdm.d_pairing(rd, mu) <= 8
+
+    @pytest.mark.parametrize("name", ["SL(3)", "PGL(3)", "Sp(4)", "SO(5)", "Sp(4)*SL(2)"])
+    def test_dominant_reps_match_enumeration(self, name):
+        # with a finite centre every dominant cocharacter is its own
+        # representative, so the reps are all dominant mu with d_mu <= 10
+        rd = catalog(name)
+        box = range(-10, 11)
+        expected = [mu for mu in itertools.product(box, repeat=rd.rank)
+                    if all(rd.pair(a, mu) >= 0 for a in rd.simple_roots)
+                    and sum(rd.pair(beta, mu) for beta in rd.positive_roots) <= 10]
+        assert rdm.dominant_reps(rd, 10) == expected
 
     def test_assert_dominant_rejects(self):
         rd = catalog("GL(2)")
