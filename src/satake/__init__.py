@@ -10,7 +10,7 @@ from .root_datum import (RootDatum, RootDatumError, catalog, dual,
 from .weyl import (AffineWeylElement, AffineWeylGroup, FiniteWeylElement,
                    FiniteWeylGroup, affine_weyl_group, finite_weyl_group)
 from .rep_ring import G1RepClass, G1Ring, RepRing, g1_class, g1_ring, rep_ring
-from .k0 import ICClass, SatakeK0, ic_class, purity_weight, satake_k0
+from .k0 import ICClass, SatakeK0, ic_class, purity_weight
 from .hecke import IwahoriHecke, SphericalHecke, iwahori_hecke, spherical_hecke
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
     "AffineWeylElement", "AffineWeylGroup", "FiniteWeylElement",
     "FiniteWeylGroup", "affine_weyl_group", "finite_weyl_group",
     "G1RepClass", "G1Ring", "RepRing", "g1_class", "g1_ring", "rep_ring",
-    "ICClass", "SatakeK0", "ic_class", "purity_weight", "satake_k0",
+    "ICClass", "SatakeK0", "ic_class", "purity_weight",
     "IwahoriHecke", "SphericalHecke", "iwahori_hecke", "spherical_hecke",
 ]
 

@@ -9,7 +9,6 @@ tuples (the indicator basis c_mu).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import root_datum as rdm
 from .lattices import Vec, zero_vec
@@ -148,8 +147,3 @@ class SatakeK0:
                 "ok": nonneg_exp and nonneg_coeff,
             })
         return rows
-
-
-@lru_cache(maxsize=None)
-def satake_k0(rd: RootDatum, signed_trace: bool = False) -> SatakeK0:
-    return SatakeK0(rd, signed_trace=signed_trace)

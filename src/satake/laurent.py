@@ -5,25 +5,23 @@ point anywhere in this package.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Iterable
 
 
 class LaurentPoly:
     """A finitely supported map exponent -> nonzero integer coefficient.
 
-    Instances are immutable and hashable.  The canonical text form lists
-    terms in increasing exponent, e.g. ``3*q^-1 + 1 + 2*q^2``.
+    The constructor takes an iterable of ``(exponent, coefficient)``
+    pairs and sums the coefficients of repeated exponents.  Instances
+    are immutable and hashable.  The canonical text form lists terms in
+    increasing exponent, e.g. ``3*q^-1 + 1 + 2*q^2``.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
+    def __init__(self, terms: Iterable[tuple[int, int]] = ()):
         acc: dict[int, int] = {}
-        for e, c in items:
+        for e, c in terms:
             if not isinstance(e, int) or not isinstance(c, int):
                 raise TypeError("exponents and coefficients must be int")
             acc[e] = acc.get(e, 0) + c
@@ -55,12 +53,6 @@ class LaurentPoly:
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
         return self._terms
-
-    def coefficient(self, exponent: int) -> int:
-        for e, c in self._terms:
-            if e == exponent:
-                return c
-        return 0
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -98,19 +90,7 @@ class LaurentPoly:
             for e2, c2 in other._terms:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(acc)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return LaurentPoly(acc.items())
 
     def scale(self, n: int) -> "LaurentPoly":
         return LaurentPoly(tuple((e, n * c) for e, c in self._terms))
@@ -150,16 +130,6 @@ class LaurentPoly:
             raise ValueError(f"inexact division: {self} by {divisor}")
         return LaurentPoly(quot)
 
-    def divexact_int(self, n: int) -> "LaurentPoly":
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
-        out = []
-        for e, c in self._terms:
-            if c % n != 0:
-                raise ValueError(f"inexact division of {self} by {n}")
-            out.append((e, c // n))
-        return LaurentPoly(out)
-
     # -- comparison and rendering ------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -195,11 +165,6 @@ class LaurentPoly:
     def to_json(self) -> dict[str, int]:
         return {str(e): c for e, c in self._terms}
 
-    @classmethod
-    def from_json(cls, data: Mapping[str, int]) -> "LaurentPoly":
-        return cls({int(e): c for e, c in data.items()})
-
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
-Q = LaurentPoly.q()

@@ -11,20 +11,22 @@ call over a generator of ``(key, scalar)`` pairs, never a loop of ``+``.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable
 
 from .laurent import LaurentPoly
 
 
 class LinComb:
-    """Finitely supported linear combination of basis keys."""
+    """Finitely supported linear combination of basis keys.
+
+    The constructor takes an iterable of ``(key, scalar)`` pairs and sums
+    the scalars of repeated keys."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[Hashable, LaurentPoly] | Iterable[tuple[Hashable, LaurentPoly]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    def __init__(self, coeffs: Iterable[tuple[Hashable, LaurentPoly]] = ()):
         acc: dict = {}
-        for k, p in items:
+        for k, p in coeffs:
             if not isinstance(p, LaurentPoly):
                 raise TypeError("scalars must be LaurentPoly")
             if k in acc:
@@ -63,16 +65,13 @@ class LinComb:
         return LinComb(chain(self._coeffs.items(), other._coeffs.items()))
 
     def __neg__(self) -> "LinComb":
-        return LinComb({k: -p for k, p in self._coeffs.items()})
+        return LinComb((k, -p) for k, p in self._coeffs.items())
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
 
     def scale(self, scalar: LaurentPoly) -> "LinComb":
-        return LinComb({k: p * scalar for k, p in self._coeffs.items()})
-
-    def map_keys(self, f: Callable[[Hashable], Hashable]) -> "LinComb":
-        return LinComb(((f(k), p) for k, p in self._coeffs.items()))
+        return LinComb((k, p * scalar) for k, p in self._coeffs.items())
 
     def bilinear(self, other: "LinComb", key_mul: Callable[[Hashable, Hashable], "LinComb"]) -> "LinComb":
         """Extend a key-level product bilinearly over the coefficients."""

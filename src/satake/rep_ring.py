@@ -35,16 +35,13 @@ class RepRing:
 
     # -- q-Kostant partition function ---------------------------------
 
-    def kostant_partition(self, v: Vec, q_graded: bool = True) -> LaurentPoly:
+    def kostant_partition(self, v: Vec) -> LaurentPoly:
         """Sum over multisets of positive coroots with sum v of
         q^(multiset size); zero if v is not a nonnegative combination."""
         coords = rdm.coroot_coords(self.rd, v)
         if coords is None or any(c < 0 for c in coords):
             return LaurentPoly.zero()
-        p = self._kostant_graded(coords, 0)
-        if not q_graded:
-            return LaurentPoly.const(p.eval_at_one())
-        return p
+        return self._kostant_graded(coords, 0)
 
     def _kostant_graded(self, coords: tuple[int, ...], i: int) -> LaurentPoly:
         if not any(coords):
@@ -72,15 +69,17 @@ class RepRing:
 
     # -- weight multiplicities ----------------------------------------
 
-    def _alternating_sum(self, mu: Vec, lam: Vec, graded: bool) -> LaurentPoly:
-        """sum_w (-1)^l(w) P(w(mu + rho_hat) - (lam + rho_hat)).
+    def lusztig_q_analog(self, mu: Vec, lam: Vec) -> LaurentPoly:
+        """The q-graded analog of weight multiplicity,
+        sum_w (-1)^l(w) P(w(mu + rho_hat) - (lam + rho_hat)); evaluates at
+        q=1 to weight_multiplicity(mu, lam), and equals 1 when lam = mu.
 
         rho_hat (half-sum of positive coroots) may be half-integral, so
         everything is computed in doubled coordinates.
         """
-        rd = self.rd
-        two_rho_hat = rd.two_rho_hat()
-        dbl_mu = vadd(lattices.vscale(2, tuple(mu)), two_rho_hat)
+        mu = rdm.assert_dominant(self.rd, mu)
+        two_rho_hat = self.rd.two_rho_hat()
+        dbl_mu = vadd(lattices.vscale(2, mu), two_rho_hat)
         dbl_lam = vadd(lattices.vscale(2, tuple(lam)), two_rho_hat)
 
         def halved(w) -> Vec:
@@ -90,22 +89,15 @@ class RepRing:
             return tuple(c // 2 for c in u)
 
         return LaurentPoly((e, -c if w.length % 2 else c) for w in self.W0.elements
-                           for e, c in self.kostant_partition(halved(w), q_graded=graded).terms)
+                           for e, c in self.kostant_partition(halved(w)).terms)
 
     def weight_multiplicity(self, mu: Vec, lam: Vec) -> int:
         """Dimension of the lam weight space of the irreducible dual-group
         representation of highest weight mu (Kostant's formula)."""
-        mu = rdm.assert_dominant(self.rd, mu)
-        m = self._alternating_sum(mu, tuple(lam), graded=False).eval_at_one()
+        m = self.lusztig_q_analog(mu, lam).eval_at_one()
         if m < 0:
             raise RepRingError(f"negative weight multiplicity for {mu}, {lam}")
         return m
-
-    def lusztig_q_analog(self, mu: Vec, lam: Vec) -> LaurentPoly:
-        """The q-graded analog of weight multiplicity; evaluates at q=1 to
-        weight_multiplicity(mu, lam), and equals 1 when lam = mu."""
-        mu = rdm.assert_dominant(self.rd, mu)
-        return self._alternating_sum(mu, tuple(lam), graded=True)
 
     # -- characters, dimensions, tensor products -----------------------
 
@@ -146,11 +138,13 @@ class RepRing:
                 v = vadd(v1, v2)
                 prod[v] = prod.get(v, 0) + m1 * m2
         result: dict[Vec, int] = {}
-        while prod:
-            # a weight of maximal <2rho, -> value is dominance-maximal,
-            # hence a highest weight of some constituent
-            nu = max(prod, key=lambda v: (rdm.d_pairing(self.rd, v), v))
-            n = prod[nu]
+        # a weight of maximal <2rho, -> value is dominance-maximal, hence a
+        # highest weight of some constituent; extraction only lowers or
+        # removes entries, so one pass in decreasing order meets them all
+        for nu in sorted(prod, key=lambda v: (rdm.d_pairing(self.rd, v), v), reverse=True):
+            n = prod.get(nu)
+            if n is None:
+                continue
             if n <= 0 or not rdm.is_dominant(self.rd, nu):
                 raise RepRingError(f"greedy extraction failed at {nu} (mult {n})")
             for v, m in self.character(nu).items():

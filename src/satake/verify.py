@@ -4,13 +4,14 @@ comparisons are exact.
 """
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import root_datum as rdm
 from .hecke import SphericalHecke
 from .k0 import ICClass, purity_weight
-from .lattices import vadd, zero_vec
+from .lattices import vadd, vscale, zero_vec
 from .laurent import LaurentPoly
 from .linear import LinComb
 from .root_datum import RootDatum, catalog
@@ -128,13 +129,20 @@ def suite_length_law(sph: SphericalHecke, dmax: int) -> Result:
 
 
 def suite_specialization(sph: SphericalHecke, dmax: int) -> Result:
-    """q -> 1 of the graded q-analog against the ungraded Kostant count."""
+    """q -> 1 of the graded q-analogs, summed over the W_0-orbit of each
+    weight, against Weyl's dimension formula
+    prod_{alpha > 0} <alpha, 2mu + 2rho_hat> / <alpha, 2rho_hat>."""
     R = sph.k0.R
     rd = sph.rd
+    two_rho_hat = rd.two_rho_hat()
+    denom = math.prod(rd.pair(a, two_rho_hat) for a in rd.positive_roots)
     for mu in rdm.dominant_reps(rd, dmax):
-        for lam in rdm.dominant_below(rd, mu):
-            if R.lusztig_q_analog(mu, lam).eval_at_one() != R.weight_multiplicity(mu, lam):
-                return ("q=1 specialization", False, f"fails at {mu}, {lam}")
+        shifted = vadd(vscale(2, mu), two_rho_hat)
+        dim, rem = divmod(math.prod(rd.pair(a, shifted) for a in rd.positive_roots), denom)
+        total = sum(R.lusztig_q_analog(mu, lam).eval_at_one() * len(sph.W.orbit(lam))
+                    for lam in rdm.dominant_below(rd, mu))
+        if rem or total != dim:
+            return ("q=1 specialization", False, f"fails at {mu}")
     return ("q=1 specialization", True, f"all dominant pairs, d <= {dmax}")
 
 

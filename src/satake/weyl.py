@@ -216,7 +216,7 @@ class AffineWeylGroup:
             x = self.mul(x, omega)
         return x
 
-    # -- length, reduced words, Bruhat order --------------------------
+    # -- length and reduced words --------------------------------------
 
     def im_length(self, x: AffineWeylElement) -> int:
         """Iwahori-Matsumoto length of t_lam w: the sum over positive roots
@@ -244,39 +244,18 @@ class AffineWeylGroup:
                 raise WeylError(f"no descent for positive-length element {x!r}")
         return tuple(word), cur
 
-    def bruhat_leq(self, v: AffineWeylElement, w: AffineWeylElement, bound: int = 12) -> bool:
-        """Subword-property Bruhat order; comparable only within one
-        length-zero component."""
-        lw = self.im_length(w)
-        if lw > bound:
-            raise WeylError(f"length {lw} exceeds Bruhat bound {bound}")
-        word_w, omega_w = self.reduced_word(w)
-        word_v, omega_v = self.reduced_word(v)
-        if omega_v != omega_w:
-            return False
-        if len(word_v) > len(word_w):
-            return False
-        target = self.mul(v, self.inverse(omega_w))
-        reachable = {self.identity}
-        for i in word_w:
-            s = self.simple_refs[i]
-            reachable |= {self.mul(x, s) for x in reachable}
-        return target in reachable
-
     # -- spherical double cosets ---------------------------------------
 
     def spherical_double_coset(self, mu: Vec):
         """The set W_0 t_mu W_0 with its minimal and maximal length
-        elements.  mu must be dominant."""
+        elements.  mu must be dominant.
+
+        Since u t_mu v = t_{u mu} uv, the double coset is
+        {t_nu w : nu in W_0 mu, w in W_0}."""
         mu = rdm.assert_dominant(self.rd, mu)
         if mu in self._dc_cache:
             return self._dc_cache[mu]
-        tmu = self.translation(mu)
-        coset = set()
-        for u in self.W0.elements:
-            left = self.mul(self.from_finite(u), tmu)
-            for v in self.W0.elements:
-                coset.add(self.mul(left, self.from_finite(v)))
+        coset = [AffineWeylElement(nu, w) for nu in self.orbit(mu) for w in self.W0.elements]
         by_len = sorted(coset, key=lambda x: (self.im_length(x), x.translation, x.finite.word))
         minimal, maximal = by_len[0], by_len[-1]
         if len(by_len) > 1 and self.im_length(by_len[1]) == self.im_length(minimal):
@@ -295,29 +274,6 @@ class AffineWeylGroup:
 
     def orbit(self, lam: Vec) -> frozenset:
         return frozenset(w.apply_cochar(lam) for w in self.W0.elements)
-
-    def omega_elements(self, box: int = 2) -> list[AffineWeylElement]:
-        """Length-zero elements with translation coordinates in [-box, box].
-
-        For catalog groups with finite fundamental group this is the whole
-        of the length-zero subgroup."""
-        out = []
-        rank = self.rd.rank
-        coords = range(-box, box + 1)
-
-        def rec(i, acc):
-            if i == rank:
-                lam = tuple(acc)
-                for w in self.W0.elements:
-                    x = AffineWeylElement(lam, w)
-                    if self.im_length(x) == 0:
-                        out.append(x)
-                return
-            for c in coords:
-                rec(i + 1, acc + [c])
-
-        rec(0, [])
-        return sorted(out, key=lambda x: (x.translation, x.finite.word))
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,9 @@ algorithm than the library uses, so agreement is meaningful:
   Freudenthal multiplicities (the library uses character products with
   greedy highest-weight extraction);
 * partition counts by literal multiset enumeration;
+* length-zero elements of the extended affine Weyl group by exhaustive
+  search of a box, counted by the tests against pi_1 (the library reads
+  pi_1 off lattice indices);
 * lattice indices by brute-force coset enumeration, with membership
   decided by Cramer's rule over Leibniz determinants (the library uses
   Hermite normal forms and Bareiss elimination).
@@ -21,7 +24,7 @@ from fractions import Fraction
 from satake import root_datum as rdm
 from satake.lattices import vadd, vscale, vsub
 from satake.root_datum import RootDatum
-from satake.weyl import affine_weyl_group
+from satake.weyl import AffineWeylElement, affine_weyl_group
 
 
 class FreudenthalOracle:
@@ -122,6 +125,21 @@ def partition_count_oracle(rd: RootDatum, v, max_height: int = 12):
 
     rec(0, tuple(v), 0)
     return sorted(sizes)
+
+
+def omega_elements(W, box: int = 2) -> list[AffineWeylElement]:
+    """Length-zero elements of the extended affine Weyl group W with
+    translation coordinates in [-box, box].
+
+    For catalog groups with finite fundamental group this is the whole
+    of the length-zero subgroup."""
+    out = []
+    for lam in itertools.product(range(-box, box + 1), repeat=W.rd.rank):
+        for w in W.W0.elements:
+            x = AffineWeylElement(lam, w)
+            if W.im_length(x) == 0:
+                out.append(x)
+    return sorted(out, key=lambda x: (x.translation, x.finite.word))
 
 
 def leibniz_det(mat) -> int:

@@ -5,10 +5,8 @@ from hypothesis import given, strategies as st
 
 from satake import LaurentPoly
 
-polys = st.builds(
-    LaurentPoly,
-    st.dictionaries(st.integers(-10, 10), st.integers(-10**6, 10**6), max_size=6),
-)
+polys = st.dictionaries(st.integers(-10, 10), st.integers(-10**6, 10**6), max_size=6).map(
+    lambda d: LaurentPoly(d.items()))
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 
@@ -36,13 +34,6 @@ class TestBasics:
 
     def test_bar_example(self):
         assert P((1, 1), (2, 1)).bar() == P((-1, 1), (-2, 1))
-
-    def test_power(self):
-        q = LaurentPoly.q()
-        assert q ** 0 == LaurentPoly.one()
-        assert (q + LaurentPoly.one()) ** 2 == P((2, 1), (1, 2), (0, 1))
-        with pytest.raises(ValueError):
-            q ** -1
 
     def test_shift_and_scale(self):
         p = P((0, 2), (1, 3))
@@ -103,10 +94,6 @@ class TestBarInvolution:
 
 
 class TestDivexact:
-    @given(polys, st.integers(-50, 50).filter(bool))
-    def test_int_roundtrip(self, a, c):
-        assert a.scale(c).divexact_int(c) == a
-
     @given(polys, nonzero_polys)
     def test_poly_roundtrip(self, a, d):
         assert (a * d).divexact(d) == a
@@ -116,14 +103,10 @@ class TestDivexact:
             P((0, 1), (1, 1)).divexact(P((0, 2)))
         with pytest.raises(ValueError):
             P((2, 1)).divexact(P((0, 1), (1, 1)))
-        with pytest.raises(ValueError):
-            P((0, 3)).divexact_int(2)
 
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             P((0, 1)).divexact(LaurentPoly.zero())
-        with pytest.raises(ZeroDivisionError):
-            P((0, 1)).divexact_int(0)
 
     def test_laurent_unit_division(self):
         p = P((-1, 3), (2, 5))
@@ -139,4 +122,4 @@ class TestRendering:
 
     @given(polys)
     def test_json_roundtrip(self, a):
-        assert LaurentPoly.from_json(a.to_json()) == a
+        assert LaurentPoly((int(e), c) for e, c in a.to_json().items()) == a

@@ -27,10 +27,9 @@ def test_coefficient_and_support():
     assert len(x) == 2
 
 
-def test_scale_and_map_keys():
+def test_scale():
     x = LinComb((("a", C(2)),))
     assert x.scale(LaurentPoly.q()) == LinComb.unit("a", LaurentPoly.q(1, 2))
-    assert x.map_keys(str.upper) == LinComb.unit("A", C(2))
 
 
 def test_bilinear_unit_key():

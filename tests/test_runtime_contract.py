@@ -1,6 +1,7 @@
 """The runtime contract of the package: it imports nothing but the
 standard library and its own modules, and no rational arithmetic, so
-every computation stays exact over the integers."""
+every computation stays exact over the integers; and every name a module
+imports is used there."""
 import ast
 import sys
 from pathlib import Path
@@ -19,6 +20,20 @@ def imported_modules(path):
             yield node.module or "", node.level
 
 
+def unused_imports(path):
+    """Names bound by import statements of a module that the module never
+    references; ``from __future__`` imports are directives, not names."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
 def test_every_module_is_scanned():
     assert {p.name for p in MODULES} >= {"lattices.py", "root_datum.py", "cli.py"}
 
@@ -33,3 +48,10 @@ def test_imports_are_stdlib_or_within_the_package(path):
         top = name.split(".")[0]
         assert top in sys.stdlib_module_names, (path.name, name)
         assert top != "fractions", (path.name, name)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # __init__.py imports only to re-export
+    assert unused_imports(path) == [], path.name

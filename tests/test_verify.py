@@ -1,0 +1,32 @@
+"""Self-verification suites: each must be able to fail.  A suite is run on
+a deliberately corrupted object and must report FAIL."""
+import pytest
+
+from satake import LaurentPoly, catalog
+from satake.hecke import SphericalHecke
+from satake.rep_ring import RepRing
+from satake.verify import suite_specialization
+
+
+class ShiftedQAnalogs(RepRing):
+    """A fault in the Kostant sum that the q-analogs and the weight
+    multiplicities share: every off-diagonal q-analog gains q, and the
+    multiplicity read off at q=1 gains 1 with it."""
+
+    def lusztig_q_analog(self, mu, lam):
+        m = super().lusztig_q_analog(mu, lam)
+        return m if tuple(lam) == tuple(mu) else m + LaurentPoly.q()
+
+    def weight_multiplicity(self, mu, lam):
+        return self.lusztig_q_analog(mu, lam).eval_at_one()
+
+
+@pytest.mark.parametrize("name", ["PGL(2)", "SL(3)", "GL(3)", "Sp(4)"])
+def test_specialization_catches_shifted_q_analogs(name, monkeypatch):
+    rd = catalog(name)
+    sph = SphericalHecke(rd)
+    assert suite_specialization(sph, 4) == ("q=1 specialization", True,
+                                            "all dominant pairs, d <= 4")
+    monkeypatch.setattr(sph.k0, "R", ShiftedQAnalogs(rd))
+    suite, passed, _ = suite_specialization(sph, 4)
+    assert suite == "q=1 specialization" and not passed
