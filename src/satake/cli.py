@@ -30,6 +30,14 @@ class UsageError(ValueError):
     """Malformed command-line input, reported as one ``error:`` line."""
 
 
+def _env_int(name: str, default: int) -> int:
+    text = _env(name, str(default))
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"SATAKE_{name} must be an integer, got {text!r}") from None
+
+
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(",")) if text else ()
@@ -185,14 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--group", default=_env("GROUP", "PGL(2)"),
                         help="catalog group, e.g. GL(2), SL(3), PGL(2), Sp(4), SO(5), torus(1)")
-    common.add_argument("--bound", type=int, default=int(_env("BOUND", "6")),
+    common.add_argument("--bound", type=int, default=_env_int("BOUND", 6),
                         help="max <2rho, mu> for tables and sweeps")
     common.add_argument("--signed-trace", action="store_true",
                         default=_env("SIGNED_TRACE", "") not in ("", "0"),
                         help="use the alternating sign convention for trace functions")
     common.add_argument("--json", action="store_true",
                         default=_env("JSON", "") not in ("", "0"))
-    common.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
+    common.add_argument("--seed", type=int, default=_env_int("SEED", 0))
 
     parser = argparse.ArgumentParser(prog="satake")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -223,14 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.bound < 0:
-        print("error: bound must be >= 0", file=sys.stderr)
-        return 2
-    config = RunConfig(group=args.group, bound=args.bound,
-                       signed_trace=args.signed_trace,
-                       json_output=args.json, seed=args.seed)
     try:
+        args = build_parser().parse_args(argv)
+        if args.bound < 0:
+            raise UsageError("bound must be >= 0")
+        config = RunConfig(group=args.group, bound=args.bound,
+                           signed_trace=args.signed_trace,
+                           json_output=args.json, seed=args.seed)
         handler = {
             "describe": cmd_describe,
             "hecke-mul": cmd_hecke_mul,

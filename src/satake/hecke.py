@@ -49,7 +49,7 @@ class IwahoriHecke:
         out = []
         for w, p in a.items():
             ws = self.W.mul(w, s)
-            if self.W.im_length(ws) > self.W.im_length(w):
+            if self.W.right_ascent(w, i):
                 out.append((ws, p))
             else:
                 out.append((w, p * qm1))
@@ -74,24 +74,6 @@ class IwahoriHecke:
 
         return LinComb(terms())
 
-    def mul_w0_sum(self, a: LinComb) -> LinComb:
-        """a times the sum of T_w over w in W_0.
-
-        The BFS word of each w in W_0 is the word of its parent w s_i
-        followed by i, and the length goes up by one, so
-        a T_w = (a T_{w s_i}) T_{s_i}: one simple step per element of W_0.
-        """
-        for x in a.keys():
-            if self.W.im_length(x) > self.length_bound:
-                raise HeckeError(f"key length exceeds bound {self.length_bound}")
-        W0 = self.W.W0
-        prods = [a]  # prods[k] = a T_w for w = W0.elements[k]
-        for w in W0.elements[1:]:
-            i = w.word[-1]
-            parent = W0.mul(w, W0.generators[i])
-            prods.append(self._mul_simple_right(prods[parent.index], i))
-        return LinComb(t for p in prods for t in p.items())
-
 
 class SphericalHecke:
     """The spherical Hecke algebra with basis c_mu, with both the
@@ -114,9 +96,6 @@ class SphericalHecke:
 
     def c(self, mu: Vec) -> LinComb:
         return LinComb.unit(rdm.assert_dominant(self.rd, mu))
-
-    def poincare_polynomial(self) -> LaurentPoly:
-        return LaurentPoly((w.length, 1) for w in self.W.W0.elements)
 
     def ic_function(self, mu: Vec, n: int = 0) -> LinComb:
         return self.k0.ic_function(mu, n)
@@ -146,10 +125,20 @@ class SphericalHecke:
           1_mu T_u = q^l(u) 1_mu, and sum_u q^l(u) = P_{W_0} / P_{W_x};
         * hence 1_mu 1_lam = (P_{W_0} / P_{W_x}) 1_mu T_x 1_W0.
 
-        The product 1_mu T_x 1_W0 is still a bi-invariant function: its
-        support must fill whole double cosets, it must be constant on
-        each, and each value must divide exactly by P_{W_x}; any failure
-        is fatal.
+        The factor 1_W0 is never multiplied out.  If y'_nu is the minimal
+        element of the right coset t_nu W_0, then y'_nu v has length
+        l(y'_nu) + l(v), so T_{y'_nu v} 1_W0 = T_{y'_nu} T_v 1_W0 =
+        q^l(v) T_{y'_nu} 1_W0.  Hence for b = 1_mu T_x,
+
+            b 1_W0 = sum_nu c_nu T_{y'_nu} 1_W0,
+            c_nu = sum_{w in W_0} q^(l(t_nu w) - m(nu)) b_{t_nu w},
+
+        with m(nu) = l(y'_nu) = sum_{alpha > 0} |<alpha, nu>| -
+        [<alpha, nu> > 0] (``AffineWeylGroup.min_coset_length``), and
+        b 1_W0 takes the value c_nu on all of t_nu W_0.  It is still a
+        bi-invariant function: the support of c must be a union of
+        W_0-orbits, c must be constant on each orbit, and each value must
+        divide exactly by P_{W_x}; any failure is fatal.
         """
         mu = rdm.assert_dominant(self.rd, mu)
         lam = rdm.assert_dominant(self.rd, lam)
@@ -157,25 +146,29 @@ class SphericalHecke:
         cached = self._c_mul_cache.get(key)
         if cached is not None:
             return cached
-        _, x, _ = self.W.spherical_double_coset(lam)
-        prod = self.iwahori.mul_w0_sum(
-            self.iwahori.mul(self.indicator_from_iwahori(mu), self.iwahori.basis(x)))
-        pwx = LaurentPoly((w.length, 1) for w in self.W.W0.elements
+        W = self.W
+        _, x, _ = W.spherical_double_coset(lam)
+        b = self.iwahori.mul(self.indicator_from_iwahori(mu), self.iwahori.basis(x))
+        m = {nu: W.min_coset_length(nu) for nu in {y.translation for y in b.keys()}}
+        c = LinComb((y.translation, p.shift(W.im_length(y) - m[y.translation]))
+                    for y, p in b.items())
+        pwx = LaurentPoly((w.length, 1) for w in W.W0.elements
                           if w.apply_cochar(x.translation) == x.translation)
-        by_coset: dict[Vec, dict] = {}
-        for y, p in prod.items():
-            nu = self.W.dominant_representative(y.translation)
-            by_coset.setdefault(nu, {})[y] = p
+        by_orbit: dict[Vec, dict] = {}
+        for nu, p in c.items():
+            by_orbit.setdefault(W.dominant_representative(nu), {})[nu] = p
         out = []
-        for nu, coeffs in sorted(by_coset.items()):
-            coset, _, _ = self.W.spherical_double_coset(nu)
-            if set(coeffs) != set(coset):
+        for nu, coeffs in sorted(by_orbit.items()):
+            if set(coeffs) != W.orbit(nu):
                 raise HeckeError(f"product support does not fill the double coset of {nu}")
             values = set(coeffs.values())
             if len(values) != 1:
                 raise HeckeError(f"product is not bi-invariant on the double coset of {nu}")
-            p = next(iter(values)).divexact(pwx)
-            out.append((nu, p))
+            try:
+                value = values.pop().divexact(pwx)
+            except ValueError as exc:
+                raise HeckeError(f"value on the double coset of {nu}: {exc}") from None
+            out.append((nu, value))
         result = LinComb(out)
         self._c_mul_cache[key] = result
         return result

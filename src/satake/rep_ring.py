@@ -119,9 +119,6 @@ class RepRing:
         self._char_cache[mu] = char
         return char
 
-    def weyl_dim(self, mu: Vec) -> int:
-        return sum(self.character(mu).values())
-
     def tensor_decompose(self, mu: Vec, lam: Vec) -> dict[Vec, int]:
         """Decomposition multiplicities of the tensor product of the two
         irreducibles, by character product and greedy highest-weight
@@ -207,9 +204,6 @@ class G1Ring:
 
     def unit(self) -> LinComb:
         return LinComb.unit(G1RepClass(zero_vec(self.rd.rank), 0))
-
-    def class_element(self, mu: Vec, n: int = 0) -> LinComb:
-        return LinComb.unit(g1_class(self.rd, mu, n=n))
 
     def mul(self, a: LinComb, b: LinComb) -> LinComb:
         def key_mul(x: G1RepClass, y: G1RepClass) -> LinComb:

@@ -6,6 +6,7 @@ length formula and the choice of the affine simple reflections.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -63,6 +64,10 @@ class FiniteWeylGroup:
     so ``elements`` is sorted that way.  Products and inverses walk the
     canonical words through the table ``right[k][i]`` = index of
     ``elements[k]`` times s_i.
+
+    Since s_i permutes the positive roots other than alpha_i, the inversion
+    flags of w and w s_i differ at exactly one positive root, the one equal
+    to +-w alpha_i; the same loop records its index as ``flip[k][i]``.
     """
 
     def __init__(self, rd: RootDatum):
@@ -70,6 +75,7 @@ class FiniteWeylGroup:
         refl = [_reflection(rd, a, av) for a, av in zip(rd.simple_roots, rd.simple_coroots)]
         self.elements: list[FiniteWeylElement] = []
         self._right: list[list[int]] = []
+        self.flip: list[list[int]] = []
         by_matrix: dict[Mat, int] = {}
 
         def add(act: Mat, word: tuple[int, ...]) -> None:
@@ -87,13 +93,17 @@ class FiniteWeylGroup:
         # elements[len(self._right):] is the frontier of the search
         while len(self._right) < len(self.elements):
             w = self.elements[len(self._right)]
-            row = []
+            row, flips = [], []
             for i, s in enumerate(refl):
                 act = lattices.mat_mul(w.act_cochar, s)
                 if act not in by_matrix:
                     add(act, w.word + (i,))
-                row.append(by_matrix[act])
+                k = by_matrix[act]
+                row.append(k)
+                changed = map(operator.ne, w.inverted, self.elements[k].inverted)
+                flips.append(list(changed).index(True))
             self._right.append(row)
+            self.flip.append(flips)
         self.identity = self.elements[0]
         self.generators = [self.elements[k] for k in self._right[0]]
 
@@ -146,12 +156,15 @@ class AffineWeylGroup:
         self.simple_refs: list[AffineWeylElement] = [
             AffineWeylElement(zero_vec(rd.rank), g) for g in self.W0.generators
         ]
-        # one affine reflection per irreducible component: s_0 = t_{theta^} s_theta
+        # one affine reflection per irreducible component: s_0 = t_{theta^} s_theta,
+        # with (u, k) such that theta = u alpha_k
+        self._theta_conj: list[tuple[FiniteWeylElement, int]] = []
         for comp in self._components():
             theta, theta_cov = self._highest_root(comp)
             act = _reflection(rd, theta, theta_cov)
             s_theta = next(w for w in self.W0.elements if w.act_cochar == act)
             self.simple_refs.append(AffineWeylElement(theta_cov, s_theta))
+            self._theta_conj.append(self._simple_conjugate(theta_cov))
         self._dc_cache: dict[Vec, tuple] = {}
 
     # -- structure ----------------------------------------------------
@@ -190,13 +203,24 @@ class AffineWeylGroup:
         assert best is not None
         return best[1], best[2]
 
+    def _simple_conjugate(self, bv: Vec) -> tuple[FiniteWeylElement, int]:
+        """(u, k) with u alpha_k^ = bv, hence u alpha_k = beta, for a
+        positive coroot bv = beta^.  While bv is not simple, some
+        <alpha_i, bv> > 0, and s_i bv is a positive coroot of lower
+        height."""
+        rd = self.rd
+        u = self.W0.identity
+        while bv not in rd.simple_coroots:
+            i = next(i for i, a in enumerate(rd.simple_roots) if rd.pair(a, bv) > 0)
+            c = rd.pair(rd.simple_roots[i], bv)
+            bv = vsub(bv, lattices.vscale(c, rd.simple_coroots[i]))
+            u = self.W0.mul(u, self.W0.generators[i])
+        return u, rd.simple_coroots.index(bv)
+
     # -- group operations ---------------------------------------------
 
     def translation(self, lam: Vec) -> AffineWeylElement:
         return AffineWeylElement(tuple(lam), self.W0.identity)
-
-    def from_finite(self, w: FiniteWeylElement) -> AffineWeylElement:
-        return AffineWeylElement(zero_vec(self.rd.rank), w)
 
     def mul(self, x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
         return AffineWeylElement(
@@ -224,6 +248,46 @@ class AffineWeylGroup:
         lam = x.translation
         return sum(abs(sum(r * c for r, c in zip(row, lam)) - inv)
                    for row, inv in zip(self._root_rows, x.finite.inverted))
+
+    def right_ascent(self, x: AffineWeylElement, i: int) -> bool:
+        """Whether l(x s_i) > l(x) for the i-th affine simple reflection,
+        decided by one positive root alpha_j.
+
+        Let x = t_lam w, k = <alpha_j, lam> and f the inversion flag of w
+        at alpha_j.  For a finite s_i, x s_i = t_lam (w s_i) and the flags
+        of w and w s_i differ only at j = W0.flip[w][i], so the length
+        formula changes by |k - 1 + f| - |k - f|: it goes up exactly when
+        (k > 0) == f.  An affine s_0 = t_{theta^} s_theta is the
+        reflection in the affine root 1 - theta, which x sends to
+        (1 + <w theta, lam>) - w theta; the length goes up iff that root
+        is positive, i.e. its constant is > 0, or is 0 and its linear
+        part is a positive root.  With theta = u alpha_m, w theta =
+        (wu) alpha_m = +-alpha_j for j = W0.flip[wu][m]: if f = 0,
+        w theta = alpha_j and the test is 1 + k > 0; if f = 1,
+        w theta = -alpha_j and the test is 1 - k >= 0."""
+        w = x.finite
+        n = len(self.W0.generators)
+        if i < n:
+            j = self.W0.flip[w.index][i]
+        else:
+            u, m = self._theta_conj[i - n]
+            j = self.W0.flip[self.W0.mul(w, u).index][m]
+        k = sum(r * c for r, c in zip(self._root_rows[j], x.translation))
+        f = w.inverted[j]
+        if i < n:
+            return (k > 0) == f
+        return (1 - k if f else k) >= 0
+
+    def min_coset_length(self, nu: Vec) -> int:
+        """min over w in W_0 of l(t_nu w), the length of the minimal
+        element of the right coset t_nu W_0.
+
+        Term by term the length formula is smallest when w^-1 inverts
+        exactly the positive alpha with <alpha, nu> > 0, and that set is
+        closed and co-closed, hence an inversion set, so the minimum is
+        the sum over positive alpha of |<alpha, nu>| - [<alpha, nu> > 0]."""
+        ks = (sum(r * c for r, c in zip(row, nu)) for row in self._root_rows)
+        return sum(abs(k) - (k > 0) for k in ks)
 
     def reduced_word(self, x: AffineWeylElement) -> tuple[tuple[int, ...], AffineWeylElement]:
         """Left-greedy reduced word; returns (word, omega) with

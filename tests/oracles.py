@@ -15,6 +15,10 @@ algorithm than the library uses, so agreement is meaningful:
 * lattice indices by brute-force coset enumeration, with membership
   decided by Cramer's rule over Leibniz determinants (the library uses
   Hermite normal forms and Bareiss elimination).
+
+It also holds small constructors that only the tests need (a Weyl
+dimension, a class element, a Poincare polynomial, the embedding of W_0
+into the affine group), written as functions of the library objects.
 """
 from __future__ import annotations
 
@@ -22,9 +26,32 @@ import itertools
 from fractions import Fraction
 
 from satake import root_datum as rdm
-from satake.lattices import vadd, vscale, vsub
+from satake.lattices import vadd, vscale, vsub, zero_vec
+from satake.laurent import LaurentPoly
+from satake.linear import LinComb
+from satake.rep_ring import g1_class
 from satake.root_datum import RootDatum
 from satake.weyl import AffineWeylElement, affine_weyl_group
+
+
+def weyl_dim(R, mu) -> int:
+    """Dimension of the irreducible of the RepRing R with highest weight mu."""
+    return sum(R.character(mu).values())
+
+
+def class_element(G, mu, n: int = 0) -> LinComb:
+    """The class of the G1Ring G with highest weight mu and twist n."""
+    return LinComb.unit(g1_class(G.rd, mu, n=n))
+
+
+def poincare_polynomial(sph) -> LaurentPoly:
+    """P_{W_0}(q), the sum of q^l(w) over the finite Weyl group of sph."""
+    return LaurentPoly((w.length, 1) for w in sph.W.W0.elements)
+
+
+def from_finite(W, w) -> AffineWeylElement:
+    """The finite Weyl element w as an element of the affine group W."""
+    return AffineWeylElement(zero_vec(W.rd.rank), w)
 
 
 class FreudenthalOracle:

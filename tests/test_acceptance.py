@@ -22,7 +22,7 @@ from oracles import FreudenthalOracle
 
 # (group, bound on d) cells of the cross-path sweep
 CROSS_PATH_CELLS = [("GL(2)", 8), ("PGL(2)", 8), ("SL(2)", 8), ("SL(3)", 8), ("Sp(4)", 8),
-                    ("GL(3)", 8), ("PGL(3)", 8), ("Sp(4)*SL(2)", 6)]
+                    ("GL(3)", 8), ("PGL(3)", 8), ("Sp(4)*SL(2)", 6), ("GL(4)", 8), ("GL(5)", 4)]
 CATALOG = ["GL(2)", "GL(3)", "SL(2)", "SL(3)", "PGL(2)", "PGL(3)", "Sp(4)", "torus(1)"]
 
 

@@ -207,3 +207,11 @@ class TestEnvironmentOverrides:
         monkeypatch.setenv("SATAKE_JSON", "1")
         _, out, _ = run(capsys, "describe", "--group", "GL(2)")
         json.loads(out)
+
+    @pytest.mark.parametrize("var", ["SATAKE_BOUND", "SATAKE_SEED"])
+    def test_malformed_integer_default_is_one_error_line(self, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "x")
+        code, out, err = run(capsys, "describe", "--group", "GL(2)")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {var} must be an integer, got 'x'\n"

@@ -14,6 +14,7 @@ from satake.rep_ring import G1RepClass
 from satake.verify import dominant_pairs
 from satake.weyl import affine_weyl_group
 
+from oracles import from_finite, poincare_polynomial
 from test_weyl import random_element
 
 
@@ -81,22 +82,6 @@ class TestIwahori:
         big = iw.basis(iw.W.translation((10,)))
         with pytest.raises(HeckeError):
             iw.mul(big, big)
-        with pytest.raises(HeckeError):
-            iw.mul_w0_sum(big)
-
-    @pytest.mark.parametrize("name", ["GL(3)", "Sp(4)*SL(2)", "torus(1)"])
-    def test_mul_w0_sum_is_product_with_finite_sum(self, name):
-        iw = IwahoriHecke(catalog(name))
-        W = iw.W
-        w0_sum = LinComb((W.from_finite(w), ONE) for w in W.W0.elements)
-        rng = random.Random(47)
-        for _ in range(5):
-            a = LinComb((random_element(W, rng),
-                         LaurentPoly.q(rng.randrange(-2, 3), rng.randrange(-3, 4)))
-                        for _ in range(3))
-            assert iw.mul_w0_sum(a) == iw.mul(a, w0_sum)
-            if len(W.W0) == 1:
-                assert iw.mul_w0_sum(a) == a
 
 
 class TestIndicators:
@@ -105,7 +90,7 @@ class TestIndicators:
         sph = SphericalHecke(rd)
         ind = sph.indicator_from_iwahori((0, 0))
         W = affine_weyl_group(rd)
-        assert ind == LinComb((W.from_finite(w), ONE) for w in W.W0.elements)
+        assert ind == LinComb((from_finite(W, w), ONE) for w in W.W0.elements)
 
     def test_max_length_coefficient_one(self):
         rd = catalog("GL(2)")
@@ -117,8 +102,8 @@ class TestIndicators:
             assert ind.support() == coset
 
     def test_poincare_polynomial(self):
-        assert SphericalHecke(catalog("GL(2)")).poincare_polynomial() == P((0, 1), (1, 1))
-        assert SphericalHecke(catalog("SL(3)")).poincare_polynomial() == \
+        assert poincare_polynomial(SphericalHecke(catalog("GL(2)"))) == P((0, 1), (1, 1))
+        assert poincare_polynomial(SphericalHecke(catalog("SL(3)"))) == \
             P((0, 1), (1, 2), (2, 2), (3, 1))
 
 
@@ -177,7 +162,7 @@ def textbook_c_mul(sph, mu, lam):
         assert set(coeffs) == sph.W.spherical_double_coset(nu)[0]
         values = set(coeffs.values())
         assert len(values) == 1
-        out.append((nu, values.pop().divexact(sph.poincare_polynomial())))
+        out.append((nu, values.pop().divexact(poincare_polynomial(sph))))
     return LinComb(out)
 
 
@@ -192,6 +177,34 @@ class TestReduction:
         assert pairs
         for mu, lam in pairs:
             assert sph.c_mul_iwahori(mu, lam) == textbook_c_mul(sph, mu, lam), (mu, lam)
+
+
+class TestBiInvarianceGuards:
+    """Each guard of c_mul_iwahori fires when 1_mu T_x is corrupted."""
+
+    @staticmethod
+    def corrupted(monkeypatch, name, perturb):
+        sph = SphericalHecke(catalog(name))
+        mul = sph.iwahori.mul
+        monkeypatch.setattr(sph.iwahori, "mul", lambda a, b: perturb(sph.W, mul(a, b)))
+        return sph
+
+    def test_support_must_fill_orbits(self, monkeypatch):
+        sph = self.corrupted(monkeypatch, "SL(3)", lambda W, b: LinComb(
+            (y, p) for y, p in b.items() if y.translation != (1, 1)))
+        with pytest.raises(HeckeError, match="does not fill"):
+            sph.c_mul_iwahori((1, 1), (0, 0))
+
+    def test_values_must_be_constant_on_orbits(self, monkeypatch):
+        sph = self.corrupted(monkeypatch, "SL(3)",
+                             lambda W, b: b + LinComb.unit(W.translation((1, 1))))
+        with pytest.raises(HeckeError, match="not bi-invariant"):
+            sph.c_mul_iwahori((1, 1), (0, 0))
+
+    def test_values_must_divide_by_stabiliser_polynomial(self, monkeypatch):
+        sph = self.corrupted(monkeypatch, "SL(3)", lambda W, b: b + LinComb.unit(W.identity))
+        with pytest.raises(HeckeError, match="inexact division"):
+            sph.c_mul_iwahori((0, 0), (0, 0))
 
 
 class TestTraceFunctions:

@@ -12,7 +12,8 @@ from satake import LaurentPoly, LinComb, catalog, g1_class, g1_ring, rep_ring
 from satake.laurent import ONE, ZERO
 from satake.rep_ring import G1RepClass, RepRingError
 
-from oracles import FreudenthalOracle, partition_count_oracle, tensor_oracle
+from oracles import (FreudenthalOracle, class_element, partition_count_oracle, tensor_oracle,
+                     weyl_dim)
 
 
 def P(*terms):
@@ -68,18 +69,18 @@ class TestWeightMultiplicity:
         R = rep_ring(rd)
         adjoint = (1, 1)
         assert R.weight_multiplicity(adjoint, (0, 0)) == 2
-        assert R.weyl_dim(adjoint) == 8
+        assert weyl_dim(R, adjoint) == 8
         assert FreudenthalOracle(rd).multiplicity(adjoint, (0, 0)) == 2
 
     def test_gl2_symmetric_powers(self):
         R = rep_ring(catalog("GL(2)"))
         for m in range(6):
-            assert R.weyl_dim((m, 0)) == m + 1
+            assert weyl_dim(R, (m, 0)) == m + 1
 
     def test_unit_dimension(self):
         for name in ["PGL(2)", "SL(3)", "torus(1)"]:
             rd = catalog(name)
-            assert rep_ring(rd).weyl_dim((0,) * rd.rank) == 1
+            assert weyl_dim(rep_ring(rd), (0,) * rd.rank) == 1
 
     @pytest.mark.parametrize("name", ["PGL(2)", "SL(3)", "GL(2)", "Sp(4)"])
     def test_against_freudenthal(self, name):
@@ -127,8 +128,8 @@ class TestTensorDecompose:
                 continue
             dec = R.tensor_decompose(mu, lam)
             assert dec == R.tensor_decompose(lam, mu)
-            assert sum(n * R.weyl_dim(nu) for nu, n in dec.items()) == \
-                R.weyl_dim(mu) * R.weyl_dim(lam)
+            assert sum(n * weyl_dim(R, nu) for nu, n in dec.items()) == \
+                weyl_dim(R, mu) * weyl_dim(R, lam)
             for nu, n in dec.items():
                 assert n > 0
                 assert rdm.dominance_leq(rd, nu, tuple(a + b for a, b in zip(mu, lam)))
@@ -182,13 +183,13 @@ class TestG1Ring:
     def test_unit_product(self):
         rd = catalog("GL(2)")
         G = g1_ring(rd)
-        x = G.class_element((2, 0), n=1)
+        x = class_element(G, (2, 0), n=1)
         assert G.mul(x, G.unit()) == x
 
     def test_gl2_standard_square(self):
         rd = catalog("GL(2)")
         G = g1_ring(rd)
-        s = G.class_element((1, 0), n=0)
+        s = class_element(G, (1, 0), n=0)
         prod = G.mul(s, s)
         assert prod == LinComb(((G1RepClass((2, 0), -2), ONE),
                                 (G1RepClass((1, 1), -2), ONE)))

@@ -1,7 +1,9 @@
 """The runtime contract of the package: it imports nothing but the
 standard library and its own modules, and no rational arithmetic, so
-every computation stays exact over the integers; and every name a module
-imports is used there."""
+every computation stays exact over the integers; every name a module
+imports is used there; and the Iwahori multiplication path never reaches
+into the dual path, so the agreement of the two stays an independent
+check."""
 import ast
 import sys
 from pathlib import Path
@@ -55,3 +57,31 @@ def test_imports_are_stdlib_or_within_the_package(path):
 def test_every_imported_name_is_used(path):
     # __init__.py imports only to re-export
     assert unused_imports(path) == [], path.name
+
+
+DUAL_PATH_NAMES = {"k0", "g1", "rep_ring", "convolve", "c_mul_satake",
+                   "to_ic_basis", "from_ic_basis"}
+
+
+def iwahori_path_bodies():
+    """(qualified name, AST) of every IwahoriHecke method and of the
+    Iwahori-path methods of SphericalHecke."""
+    path = next(p for p in MODULES if p.name == "hecke.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name in ("IwahoriHecke", "SphericalHecke"):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and (
+                        cls.name == "IwahoriHecke"
+                        or fn.name in ("c_mul_iwahori", "indicator_from_iwahori")):
+                    yield f"{cls.name}.{fn.name}", fn
+
+
+def test_iwahori_path_shares_nothing_with_the_dual_path():
+    bodies = dict(iwahori_path_bodies())
+    assert {"IwahoriHecke.mul", "SphericalHecke.c_mul_iwahori",
+            "SphericalHecke.indicator_from_iwahori"} <= set(bodies)
+    for name, fn in bodies.items():
+        used = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+        assert used.isdisjoint(DUAL_PATH_NAMES), (name, sorted(used & DUAL_PATH_NAMES))

@@ -1,14 +1,15 @@
 """Finite and extended affine Weyl groups: enumeration, the length
 function, reduced words, and spherical double cosets."""
+import itertools
 import random
 
 import pytest
 
 import satake.root_datum as rdm
 from satake import catalog
-from satake.weyl import affine_weyl_group, finite_weyl_group
+from satake.weyl import AffineWeylElement, affine_weyl_group, finite_weyl_group
 
-from oracles import omega_elements
+from oracles import from_finite, omega_elements
 
 
 def random_element(W, rng, max_length=6):
@@ -161,6 +162,45 @@ class TestOmega:
         assert W.mul(gen, gen).translation == (1, 1)
 
 
+ONE_ROOT_GROUPS = ["GL(2)", "SL(3)", "PGL(3)", "GL(3)", "SO(5)", "Sp(4)*SL(2)", "GL(4)"]
+
+
+def box(rd, radius):
+    return itertools.product(range(-radius, radius + 1), repeat=rd.rank)
+
+
+class TestOneRootTests:
+    """The one-root shortcuts against the Iwahori-Matsumoto length itself."""
+
+    @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
+    def test_right_ascent_matches_lengths(self, name):
+        rd = catalog(name)
+        W = affine_weyl_group(rd)
+        for lam in box(rd, 3 if rd.rank <= 3 else 2):
+            for w in W.W0.elements:
+                x = AffineWeylElement(lam, w)
+                lx = W.im_length(x)
+                for i, s in enumerate(W.simple_refs):
+                    assert W.right_ascent(x, i) == (W.im_length(W.mul(x, s)) > lx), (x, i)
+
+    @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
+    def test_flip_is_the_one_changed_inversion(self, name):
+        W0 = finite_weyl_group(catalog(name))
+        for w in W0.elements:
+            for i, g in enumerate(W0.generators):
+                ws = W0.mul(w, g)
+                changed = [j for j, (a, b) in enumerate(zip(w.inverted, ws.inverted)) if a != b]
+                assert changed == [W0.flip[w.index][i]]
+
+    @pytest.mark.parametrize("name", ONE_ROOT_GROUPS + ["torus(1)"])
+    def test_min_coset_length_is_the_minimum_over_w0(self, name):
+        rd = catalog(name)
+        W = affine_weyl_group(rd)
+        for nu in box(rd, 3 if rd.rank <= 3 else 2):
+            brute = min(W.im_length(AffineWeylElement(nu, w)) for w in W.W0.elements)
+            assert W.min_coset_length(nu) == brute, nu
+
+
 class TestBraidRelations:
     @pytest.mark.parametrize("name", ["SL(3)", "Sp(4)", "GL(3)"])
     def test_affine_braid_relations(self, name):
@@ -189,9 +229,9 @@ class TestDoubleCosets:
         rd = catalog("SL(3)")
         W = affine_weyl_group(rd)
         coset, minimal, maximal = W.spherical_double_coset((0, 0))
-        assert coset == frozenset(W.from_finite(w) for w in W.W0.elements)
+        assert coset == frozenset(from_finite(W, w) for w in W.W0.elements)
         assert minimal == W.identity
-        assert maximal == W.from_finite(W.W0.longest())
+        assert maximal == from_finite(W, W.W0.longest())
 
     @pytest.mark.parametrize("name", ["GL(2)", "GL(3)", "Sp(4)", "SO(5)", "Sp(4)*SL(2)",
                                       "GL(4)", "torus(1)"])
@@ -201,7 +241,7 @@ class TestDoubleCosets:
         for mu in rdm.dominant_reps(rd, 4):
             # literal enumeration of {u t_mu v : u, v in W_0}
             tmu = W.translation(mu)
-            expected = {W.mul(W.mul(W.from_finite(u), tmu), W.from_finite(v))
+            expected = {W.mul(W.mul(from_finite(W, u), tmu), from_finite(W, v))
                         for u in W.W0.elements for v in W.W0.elements}
             lengths = sorted(W.im_length(x) for x in expected)
             (shortest,) = [x for x in expected if W.im_length(x) == lengths[0]]
