@@ -30,6 +30,14 @@ class UsageError(ValueError):
     """Malformed command-line input, reported as one ``error:`` line."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ``UsageError`` in place of
+    printing a usage block and exiting; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _env_int(name: str, default: int) -> int:
     text = _env(name, str(default))
     try:
@@ -189,8 +197,8 @@ def cmd_verify(config: RunConfig, args) -> int:
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+def build_parser() -> _Parser:
+    common = _Parser(add_help=False)
     common.add_argument("--group", default=_env("GROUP", "PGL(2)"),
                         help="catalog group, e.g. GL(2), SL(3), PGL(2), Sp(4), SO(5), torus(1)")
     common.add_argument("--bound", type=int, default=_env_int("BOUND", 6),
@@ -202,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=_env("JSON", "") not in ("", "0"))
     common.add_argument("--seed", type=int, default=_env_int("SEED", 0))
 
-    parser = argparse.ArgumentParser(prog="satake")
+    parser = _Parser(prog="satake")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("describe", parents=[common],

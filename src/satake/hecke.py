@@ -43,13 +43,13 @@ class IwahoriHecke:
         """Right multiplication by T_s for the i-th affine simple
         reflection: T_w T_s = T_ws if the length goes up, else
         (q-1) T_w + q T_ws."""
-        s = self.W.simple_refs[i]
+        W = self.W
         qm1 = LaurentPoly(((1, 1), (0, -1)))
         q = LaurentPoly.q()
         out = []
         for w, p in a.items():
-            ws = self.W.mul(w, s)
-            if self.W.right_ascent(w, i):
+            ws = W.mul_simple(w, i)
+            if W.right_ascent(w, i):
                 out.append((ws, p))
             else:
                 out.append((w, p * qm1))
@@ -58,19 +58,23 @@ class IwahoriHecke:
 
     def mul(self, a: LinComb, b: LinComb) -> LinComb:
         """Product computed by right-multiplying along the reduced word of
-        every key of b, then by its length-zero part."""
-        for x in list(a.keys()) + list(b.keys()):
-            if self.W.im_length(x) > self.length_bound:
-                raise HeckeError(f"key length exceeds bound {self.length_bound}")
+        every key of b, then by its length-zero part.  Keys longer than
+        ``length_bound`` are refused before any product is formed; the
+        lengths of b's keys are those of their words."""
+        W = self.W
+        factors = [(W.reduced_word(x), p) for x, p in b.items()]
+        lengths = [W.im_length(x) for x in a.keys()] + [len(word) for (word, _), _ in factors]
+        if any(n > self.length_bound for n in lengths):
+            raise HeckeError(f"key length exceeds bound {self.length_bound}")
 
         def terms():
-            for x, p in b.items():
-                word, omega = self.W.reduced_word(x)
+            for (word, omega), p in factors:
                 cur = a
                 for i in word:
                     cur = self._mul_simple_right(cur, i)
+                trivial = omega == W.identity
                 for w, c in cur.items():
-                    yield self.W.mul(w, omega), c * p
+                    yield (w if trivial else W.mul(w, omega)), c * p
 
         return LinComb(terms())
 

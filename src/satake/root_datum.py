@@ -28,8 +28,9 @@ class RootDatum:
 
     ``positive_root_coords[k]`` holds the simple-root coordinates of
     ``positive_roots[k]``, ``positive_coroot_coords[k]`` the simple-coroot
-    coordinates of ``positive_coroots[k]``, and ``two_rho_row`` is the
-    functional <2rho, -> on X_* as an integer row; all three are derived
+    coordinates of ``positive_coroots[k]``, ``two_rho_row`` is the
+    functional <2rho, -> on X_* as an integer row, and
+    ``simple_root_rows[i]`` is <alpha_i, -> likewise; all four are derived
     from the other fields and take no part in equality or hashing.
     """
 
@@ -43,6 +44,7 @@ class RootDatum:
     positive_root_coords: tuple[Vec, ...] = field(compare=False)
     positive_coroot_coords: tuple[Vec, ...] = field(compare=False)
     two_rho_row: Vec = field(compare=False)
+    simple_root_rows: tuple[Vec, ...] = field(compare=False)
 
     def pair(self, chi: Vec, lam: Vec) -> int:
         """The bilinear pairing <chi, lam> of a character with a cocharacter."""
@@ -126,8 +128,10 @@ def make_root_datum(name, rank, pairing, simple_roots, simple_coroots) -> RootDa
     pos_roots, pos_coroots, root_coords, coroot_coords = \
         _saturate_positives(pairing, simple_roots, simple_coroots)
     two_rho = lattices.combination((1,) * len(pos_roots), pos_roots, rank)
+    cols = lattices.transpose(pairing)
     rd = RootDatum(name, rank, pairing, simple_roots, simple_coroots, pos_roots, pos_coroots,
-                   root_coords, coroot_coords, mat_vec(lattices.transpose(pairing), two_rho))
+                   root_coords, coroot_coords, mat_vec(cols, two_rho),
+                   tuple(mat_vec(cols, alpha) for alpha in simple_roots))
     _validate(rd)
     return rd
 
@@ -281,7 +285,7 @@ def dual(rd: RootDatum) -> RootDatum:
 
 
 def is_dominant(rd: RootDatum, mu: Vec) -> bool:
-    return all(rd.pair(a, mu) >= 0 for a in rd.simple_roots)
+    return all(sum(r * x for r, x in zip(row, mu)) >= 0 for row in rd.simple_root_rows)
 
 
 def assert_dominant(rd: RootDatum, mu: Vec) -> Vec:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import lattices, root_datum as rdm
 from .lattices import Vec, mat_vec, vadd, vsub, zero_vec
@@ -232,12 +232,27 @@ class AffineWeylGroup:
         wi = self.W0.inverse(x.finite)
         return AffineWeylElement(lattices.vneg(wi.apply_cochar(x.translation)), wi)
 
-    def word_to_element(self, word: Iterable[int], omega: Optional[AffineWeylElement] = None) -> AffineWeylElement:
+    def mul_simple(self, x: AffineWeylElement, i: int) -> AffineWeylElement:
+        """x s_i for the i-th affine simple reflection, read from the W_0
+        tables without a matrix product.
+
+        A finite s_i keeps the translation: t_lam w s_i = t_lam (w s_i).
+        The affine s_0 = t_{theta^} s_theta gives t_{lam + w theta^}
+        (w s_theta), where w theta^ = +-alpha_j^ for the root j of
+        ``_moved_root``."""
+        W0 = self.W0
+        w = x.finite
+        if i < len(W0.generators):
+            return AffineWeylElement(x.translation, W0.elements[W0._right[w.index][i]])
+        j = self._moved_root(w, i)
+        step = vsub if w.inverted[j] else vadd
+        return AffineWeylElement(step(x.translation, self.rd.positive_coroots[j]),
+                                 W0.mul(w, self.simple_refs[i].finite))
+
+    def word_to_element(self, word: Iterable[int]) -> AffineWeylElement:
         x = self.identity
         for i in word:
-            x = self.mul(x, self.simple_refs[i])
-        if omega is not None:
-            x = self.mul(x, omega)
+            x = self.mul_simple(x, i)
         return x
 
     # -- length and reduced words --------------------------------------
@@ -248,6 +263,17 @@ class AffineWeylGroup:
         lam = x.translation
         return sum(abs(sum(r * c for r, c in zip(row, lam)) - inv)
                    for row, inv in zip(self._root_rows, x.finite.inverted))
+
+    def _moved_root(self, w: FiniteWeylElement, i: int) -> int:
+        """The index j of the positive root +-w alpha_i for a finite s_i, or
+        +-w theta for the affine s_i = t_{theta^} s_theta; the sign is -
+        exactly when w inverts alpha_j.  With theta = u alpha_m,
+        w theta = (wu) alpha_m, so j = W0.flip[wu][m]."""
+        n = len(self.W0.generators)
+        if i < n:
+            return self.W0.flip[w.index][i]
+        u, m = self._theta_conj[i - n]
+        return self.W0.flip[self.W0.mul(w, u).index][m]
 
     def right_ascent(self, x: AffineWeylElement, i: int) -> bool:
         """Whether l(x s_i) > l(x) for the i-th affine simple reflection,
@@ -261,20 +287,14 @@ class AffineWeylGroup:
         reflection in the affine root 1 - theta, which x sends to
         (1 + <w theta, lam>) - w theta; the length goes up iff that root
         is positive, i.e. its constant is > 0, or is 0 and its linear
-        part is a positive root.  With theta = u alpha_m, w theta =
-        (wu) alpha_m = +-alpha_j for j = W0.flip[wu][m]: if f = 0,
-        w theta = alpha_j and the test is 1 + k > 0; if f = 1,
+        part is a positive root.  By ``_moved_root``, w theta = +-alpha_j:
+        if f = 0, w theta = alpha_j and the test is 1 + k > 0; if f = 1,
         w theta = -alpha_j and the test is 1 - k >= 0."""
         w = x.finite
-        n = len(self.W0.generators)
-        if i < n:
-            j = self.W0.flip[w.index][i]
-        else:
-            u, m = self._theta_conj[i - n]
-            j = self.W0.flip[self.W0.mul(w, u).index][m]
+        j = self._moved_root(w, i)
         k = sum(r * c for r, c in zip(self._root_rows[j], x.translation))
         f = w.inverted[j]
-        if i < n:
+        if i < len(self.W0.generators):
             return (k > 0) == f
         return (1 - k if f else k) >= 0
 
@@ -292,21 +312,20 @@ class AffineWeylGroup:
     def reduced_word(self, x: AffineWeylElement) -> tuple[tuple[int, ...], AffineWeylElement]:
         """Left-greedy reduced word; returns (word, omega) with
         x = (product of simple reflections along word) * omega and
-        len(word) = im_length(x)."""
+        len(word) = im_length(x).
+
+        A left descent s_i of x (l(s_i x) < l(x)) is a right descent of
+        y = x^-1, so each letter is the first i with l(y s_i) < l(y),
+        decided by ``right_ascent``, and y then moves to y s_i."""
         word: list[int] = []
-        cur = x
-        length = self.im_length(cur)
-        while length > 0:
-            for i, s in enumerate(self.simple_refs):
-                cand = self.mul(s, cur)
-                cl = self.im_length(cand)
-                if cl < length:
-                    word.append(i)
-                    cur, length = cand, cl
-                    break
-            else:
+        y = self.inverse(x)
+        for _ in range(self.im_length(x)):
+            i = next((i for i in range(len(self.simple_refs)) if not self.right_ascent(y, i)), None)
+            if i is None:
                 raise WeylError(f"no descent for positive-length element {x!r}")
-        return tuple(word), cur
+            word.append(i)
+            y = self.mul_simple(y, i)
+        return tuple(word), self.inverse(y)
 
     # -- spherical double cosets ---------------------------------------
 

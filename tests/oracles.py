@@ -12,6 +12,8 @@ algorithm than the library uses, so agreement is meaningful:
 * length-zero elements of the extended affine Weyl group by exhaustive
   search of a box, counted by the tests against pi_1 (the library reads
   pi_1 off lattice indices);
+* reduced words by the left-greedy loop over affine products and lengths
+  (the library takes one-root right descents of the inverse);
 * lattice indices by brute-force coset enumeration, with membership
   decided by Cramer's rule over Leibniz determinants (the library uses
   Hermite normal forms and Bareiss elimination).
@@ -167,6 +169,36 @@ def omega_elements(W, box: int = 2) -> list[AffineWeylElement]:
             if W.im_length(x) == 0:
                 out.append(x)
     return sorted(out, key=lambda x: (x.translation, x.finite.word))
+
+
+def left_greedy_word(W, x, memo=None):
+    """(word, omega) for x in the affine group W by the left-greedy loop:
+    while l(x) > 0, take the first simple s_i with l(s_i x) < l(x), record
+    i and replace x by s_i x, measuring every candidate with ``im_length``
+    and forming it by ``W.mul``.
+
+    The loop depends only on the current element, so the answers for
+    every element met are stored in ``memo``, if given, and reused."""
+    memo = {} if memo is None else memo
+    path = []
+    while x not in memo:
+        length = W.im_length(x)
+        if length == 0:
+            memo[x] = ((), x)
+            break
+        for i, s in enumerate(W.simple_refs):
+            cand = W.mul(s, x)
+            if W.im_length(cand) < length:
+                path.append((x, i))
+                x = cand
+                break
+        else:
+            raise AssertionError(f"no descent for positive-length element {x!r}")
+    word, omega = memo[x]
+    for y, i in reversed(path):
+        word = (i,) + word
+        memo[y] = (word, omega)
+    return word, omega
 
 
 def leibniz_det(mat) -> int:

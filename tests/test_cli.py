@@ -131,6 +131,12 @@ class TestInputErrors:
         ("ic-convolve", "--group", "GL(2)", "--mu", "a,b", "--lam", "0,0"),
         ("hecke-mul", "--group", "SL(2)", ",".join(str(k % 2) for k in range(66))),
         ("hecke-mul", "--group", "torus(1)", "0"),
+        ("ic-convolve", "--group", "SL(2)", "--mu", "1", "--lam", "1", "--n", "x"),
+        ("verify", "--group", "SL(2)", "--bound", "x"),
+        ("describe", "--seed", "1.5"),
+        ("ic-convolve", "--group", "SL(2)", "--mu", "1"),
+        ("frobnicate",),
+        (),
     ])
     def test_one_line_error_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -7,12 +7,12 @@ import random
 import pytest
 
 import satake.root_datum as rdm
-from satake import LaurentPoly, LinComb, catalog
+from satake import LaurentPoly, LinComb, catalog, weyl
 from satake.hecke import IwahoriHecke, SphericalHecke, HeckeError
 from satake.laurent import ONE
 from satake.rep_ring import G1RepClass
 from satake.verify import dominant_pairs
-from satake.weyl import affine_weyl_group
+from satake.weyl import AffineWeylGroup, affine_weyl_group
 
 from oracles import from_finite, poincare_polynomial
 from test_weyl import random_element
@@ -52,7 +52,7 @@ class TestIwahori:
             word, omega = W.reduced_word(x)
             cut = rng.randrange(len(word) + 1)
             v = W.word_to_element(word[:cut])
-            w = W.word_to_element(word[cut:], omega)
+            w = W.mul(W.word_to_element(word[cut:]), omega)
             assert W.im_length(v) + W.im_length(w) == W.im_length(x)
             assert iw.mul(iw.basis(v), iw.basis(w)) == iw.basis(x)
 
@@ -82,6 +82,62 @@ class TestIwahori:
         big = iw.basis(iw.W.translation((10,)))
         with pytest.raises(HeckeError):
             iw.mul(big, big)
+
+
+class TestWorkCounts:
+    """The cost shape of the Iwahori path, pinned by counting calls: one
+    length per key, and no matrix product per letter of a word."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"im_length": 0, "mat_vec": 0}
+        im_length, mat_vec = AffineWeylGroup.im_length, weyl.mat_vec
+
+        def counted_im_length(W, x):
+            counts["im_length"] += 1
+            return im_length(W, x)
+
+        def counted_mat_vec(m, v):
+            counts["mat_vec"] += 1
+            return mat_vec(m, v)
+
+        monkeypatch.setattr(AffineWeylGroup, "im_length", counted_im_length)
+        monkeypatch.setattr(weyl, "mat_vec", counted_mat_vec)
+        return counts
+
+    @pytest.mark.parametrize("name", ["PGL(2)", "SL(3)", "Sp(4)*SL(2)"])
+    def test_reduced_word_measures_once(self, counts, name):
+        W = affine_weyl_group(catalog(name))
+        rng = random.Random(41)
+        for size in (1, 4, 16, 64):
+            word = [rng.randrange(len(W.simple_refs)) for _ in range(size)]
+            x = W.word_to_element(word)
+            counts.update(im_length=0, mat_vec=0)
+            W.reduced_word(x)
+            assert counts["im_length"] == 1 and counts["mat_vec"] <= 2, (size, counts)
+
+    @pytest.mark.parametrize("name", ["SL(3)", "Sp(4)*SL(2)"])
+    def test_mul_measures_each_key_once(self, counts, name):
+        rd = catalog(name)
+        sph = SphericalHecke(rd)
+        iw = sph.iwahori
+        rng = random.Random(43)
+        mu = rdm.dominant_reps(rd, 4)[-1]
+        a = sph.indicator_from_iwahori(mu)
+        b = LinComb((random_element(iw.W, rng), ONE) for _ in range(5))
+        counts.update(im_length=0)
+        iw.mul(a, b)
+        assert counts["im_length"] == len(a) + len(b)
+
+    @pytest.mark.parametrize("name", ["SL(3)", "Sp(4)*SL(2)"])
+    def test_simple_step_forms_no_matrix_product(self, counts, name):
+        rd = catalog(name)
+        sph = SphericalHecke(rd)
+        a = sph.indicator_from_iwahori(rdm.dominant_reps(rd, 4)[-1])
+        counts.update(mat_vec=0)
+        for i in range(len(sph.W.simple_refs)):
+            sph.iwahori._mul_simple_right(a, i)
+        assert counts["mat_vec"] == 0
 
 
 class TestIndicators:

@@ -9,7 +9,7 @@ import satake.root_datum as rdm
 from satake import catalog
 from satake.weyl import AffineWeylElement, affine_weyl_group, finite_weyl_group
 
-from oracles import from_finite, omega_elements
+from oracles import from_finite, left_greedy_word, omega_elements
 
 
 def random_element(W, rng, max_length=6):
@@ -135,7 +135,7 @@ class TestReducedWords:
             x = random_element(W, rng)
             word, omega = W.reduced_word(x)
             assert len(word) == W.im_length(x)
-            assert W.word_to_element(word, omega) == x
+            assert W.mul(W.word_to_element(word), omega) == x
             assert W.im_length(omega) == 0
 
 
@@ -182,6 +182,26 @@ class TestOneRootTests:
                 lx = W.im_length(x)
                 for i, s in enumerate(W.simple_refs):
                     assert W.right_ascent(x, i) == (W.im_length(W.mul(x, s)) > lx), (x, i)
+
+    @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
+    def test_mul_simple_matches_mul(self, name):
+        rd = catalog(name)
+        W = affine_weyl_group(rd)
+        for lam in box(rd, 3 if rd.rank <= 3 else 2):
+            for w in W.W0.elements:
+                x = AffineWeylElement(lam, w)
+                for i, s in enumerate(W.simple_refs):
+                    assert W.mul_simple(x, i) == W.mul(x, s), (x, i)
+
+    @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
+    def test_reduced_word_matches_left_greedy(self, name):
+        rd = catalog(name)
+        W = affine_weyl_group(rd)
+        memo = {}
+        for lam in box(rd, 3 if rd.rank <= 3 else 2):
+            for w in W.W0.elements:
+                x = AffineWeylElement(lam, w)
+                assert W.reduced_word(x) == left_greedy_word(W, x, memo), x
 
     @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
     def test_flip_is_the_one_changed_inversion(self, name):
