@@ -12,13 +12,13 @@ import os
 import sys
 
 from . import root_datum as rdm
-from .hecke import HeckeError, SphericalHecke
+from .hecke import KeyLengthError, SphericalHecke
 from .k0 import ICClass, purity_weight
 from .lattices import Vec
 from .linear import LinComb
 from .rep_ring import G1RepClass
-from .root_datum import RootDatumError
-from .verify import RunConfig, run_all
+from .root_datum import RootDatumError, catalog
+from .verify import run_all
 from .weyl import render_affine
 
 
@@ -73,8 +73,8 @@ def _terms_json(basis: str, x: LinComb, key_json, order) -> dict:
     }
 
 
-def cmd_describe(config: RunConfig, args) -> int:
-    rd = config.root_datum()
+def cmd_describe(args) -> int:
+    rd = catalog(args.group)
     data = rdm.g1_data(rd)
     free, torsion = rdm.pi1_invariants(rd)
     doc = {
@@ -90,7 +90,7 @@ def cmd_describe(config: RunConfig, args) -> int:
         "direct_product": data.direct_product,
         "modified_dual_group": rdm.g1_description(rd),
     }
-    if config.json_output:
+    if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"group: {doc['group']} (rank {doc['rank']})")
@@ -105,9 +105,9 @@ def cmd_describe(config: RunConfig, args) -> int:
     return 0
 
 
-def cmd_hecke_mul(config: RunConfig, args) -> int:
-    rd = config.root_datum()
-    sph = SphericalHecke(rd, signed_trace=config.signed_trace)
+def cmd_hecke_mul(args) -> int:
+    rd = catalog(args.group)
+    sph = SphericalHecke(rd, signed_trace=args.signed_trace)
     iw = sph.iwahori
     factors = []
     n_simple = len(sph.W.simple_refs)
@@ -119,13 +119,10 @@ def cmd_hecke_mul(config: RunConfig, args) -> int:
             raise UsageError(f"word {w!r} has an index outside 0..{n_simple - 1}")
         factors.append(sph.W.word_to_element(word))
     prod = iw.unit()
-    try:
-        for x in factors:
-            prod = iw.mul(prod, iw.basis(x))
-    except HeckeError as exc:
-        raise UsageError(f"product too long: {exc}") from None
+    for x in factors:
+        prod = iw.mul(prod, iw.basis(x))
     rows = sorted(((render_affine(k), str(p)) for k, p in prod.items()))
-    if config.json_output:
+    if args.json:
         print(json.dumps({"factors": [render_affine(x) for x in factors],
                           "terms": [{"key": k, "poly": p} for k, p in rows]}, indent=2))
     else:
@@ -135,9 +132,9 @@ def cmd_hecke_mul(config: RunConfig, args) -> int:
     return 0
 
 
-def cmd_ic_convolve(config: RunConfig, args) -> int:
-    rd = config.root_datum()
-    sph = SphericalHecke(rd, signed_trace=config.signed_trace)
+def cmd_ic_convolve(args) -> int:
+    rd = catalog(args.group)
+    sph = SphericalHecke(rd, signed_trace=args.signed_trace)
     a = ICClass(rdm.assert_dominant(rd, _parse_ints(args.mu, "--mu")), args.n)
     b = ICClass(rdm.assert_dominant(rd, _parse_ints(args.lam, "--lam")), args.m)
     conv = sph.k0.convolve_ic(a, b)
@@ -148,7 +145,7 @@ def cmd_ic_convolve(config: RunConfig, args) -> int:
         rows.append({"nu": list(cls.mu), "multiplicity": mult, "twist": cls.n,
                      "weight": purity_weight(rd, cls),
                      "weight_additive": purity_weight(rd, cls) == wsum})
-    if config.json_output:
+    if args.json:
         print(json.dumps({"a": {"mu": list(a.mu), "n": a.n},
                           "b": {"mu": list(b.mu), "n": b.n}, "rows": rows}, indent=2))
     else:
@@ -160,23 +157,23 @@ def cmd_ic_convolve(config: RunConfig, args) -> int:
     return 0
 
 
-def cmd_satake_table(config: RunConfig, args) -> int:
-    rd = config.root_datum()
-    sph = SphericalHecke(rd, signed_trace=config.signed_trace)
+def cmd_satake_table(args) -> int:
+    rd = catalog(args.group)
+    sph = SphericalHecke(rd, signed_trace=args.signed_trace)
     rows = []
-    for mu in rdm.dominant_reps(rd, config.bound):
+    for mu in rdm.dominant_reps(rd, args.bound):
         f = sph.ic_function(mu)
         rows.append((mu, f, sph.satake_transform(f)))
-    extra = sph.ic_function((0,) * rd.rank, -1)
-    if config.json_output:
-        print(json.dumps({"group": rd.name, "bound": config.bound,
+    extra = sph.k0.trace_to_hecke(sph.k0.element((0,) * rd.rank, -1))
+    if args.json:
+        print(json.dumps({"group": rd.name, "bound": args.bound,
                           "rows": [{"mu": list(mu),
                                     "trace_function": _terms_json("c", f, list, tuple),
                                     "transform": _terms_json("G1", t, _g1_key_json, _g1_order)}
                                    for mu, f, t in rows],
                           "unit_twisted": _terms_json("c", extra, list, tuple)}, indent=2))
     else:
-        print(f"trace functions of intersection-motive classes, {rd.name}, d <= {config.bound}")
+        print(f"trace functions of intersection-motive classes, {rd.name}, d <= {args.bound}")
         for mu, f, t in rows:
             print(f"  f[{','.join(map(str, mu))}] = {f.render(_c_str, tuple)}"
                   f"   ->   {t.render(repr, _g1_order)}")
@@ -184,11 +181,12 @@ def cmd_satake_table(config: RunConfig, args) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig, args) -> int:
-    results = run_all(config, inject_fault=args.inject_fault)
-    if config.json_output:
-        print(json.dumps({"group": config.group, "bound": config.bound,
-                          "seed": config.seed,
+def cmd_verify(args) -> int:
+    results = run_all(catalog(args.group), args.bound, args.seed,
+                      signed_trace=args.signed_trace, inject_fault=args.inject_fault)
+    if args.json:
+        print(json.dumps({"group": args.group, "bound": args.bound,
+                          "seed": args.seed,
                           "results": [{"suite": n, "passed": ok, "detail": d}
                                       for n, ok, d in results]}, indent=2))
     else:
@@ -243,9 +241,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.bound < 0:
             raise UsageError("bound must be >= 0")
-        config = RunConfig(group=args.group, bound=args.bound,
-                           signed_trace=args.signed_trace,
-                           json_output=args.json, seed=args.seed)
         handler = {
             "describe": cmd_describe,
             "hecke-mul": cmd_hecke_mul,
@@ -253,8 +248,8 @@ def main(argv=None) -> int:
             "satake-table": cmd_satake_table,
             "verify": cmd_verify,
         }[args.command]
-        return handler(config, args)
-    except (RootDatumError, UsageError) as exc:
+        return handler(args)
+    except (RootDatumError, UsageError, KeyLengthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

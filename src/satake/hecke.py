@@ -20,18 +20,30 @@ from .root_datum import RootDatum
 from .weyl import AffineWeylElement, affine_weyl_group
 
 
+# longest key IwahoriHecke.mul accepts in either factor (read at call time)
+MAX_KEY_LENGTH = 64
+
+# the constants of the quadratic relation T_s^2 = (q-1) T_s + q
+_Q_MINUS_ONE = LaurentPoly(((1, 1), (0, -1)))
+_Q = LaurentPoly.q()
+
+
 class HeckeError(RuntimeError):
     pass
+
+
+class KeyLengthError(HeckeError):
+    """A factor has a key longer than MAX_KEY_LENGTH: the input is
+    refused for its size, which is not a fault of the algebra."""
 
 
 class IwahoriHecke:
     """The Iwahori-Hecke algebra on the T_w basis, w in the extended
     affine Weyl group, with the standard quadratic relation at q."""
 
-    def __init__(self, rd: RootDatum, length_bound: int = 64):
+    def __init__(self, rd: RootDatum):
         self.rd = rd
         self.W = affine_weyl_group(rd)
-        self.length_bound = length_bound
 
     def unit(self) -> LinComb:
         return LinComb.unit(self.W.identity)
@@ -44,28 +56,27 @@ class IwahoriHecke:
         reflection: T_w T_s = T_ws if the length goes up, else
         (q-1) T_w + q T_ws."""
         W = self.W
-        qm1 = LaurentPoly(((1, 1), (0, -1)))
-        q = LaurentPoly.q()
         out = []
         for w, p in a.items():
             ws = W.mul_simple(w, i)
             if W.right_ascent(w, i):
                 out.append((ws, p))
             else:
-                out.append((w, p * qm1))
-                out.append((ws, p * q))
+                out.append((w, p * _Q_MINUS_ONE))
+                out.append((ws, p * _Q))
         return LinComb(out)
 
     def mul(self, a: LinComb, b: LinComb) -> LinComb:
         """Product computed by right-multiplying along the reduced word of
         every key of b, then by its length-zero part.  Keys longer than
-        ``length_bound`` are refused before any product is formed; the
-        lengths of b's keys are those of their words."""
+        ``MAX_KEY_LENGTH`` are refused with ``KeyLengthError`` before any
+        product is formed; the lengths of b's keys are those of their
+        words."""
         W = self.W
         factors = [(W.reduced_word(x), p) for x, p in b.items()]
         lengths = [W.im_length(x) for x in a.keys()] + [len(word) for (word, _), _ in factors]
-        if any(n > self.length_bound for n in lengths):
-            raise HeckeError(f"key length exceeds bound {self.length_bound}")
+        if any(n > MAX_KEY_LENGTH for n in lengths):
+            raise KeyLengthError(f"product too long: key length exceeds bound {MAX_KEY_LENGTH}")
 
         def terms():
             for (word, omega), p in factors:
@@ -101,8 +112,8 @@ class SphericalHecke:
     def c(self, mu: Vec) -> LinComb:
         return LinComb.unit(rdm.assert_dominant(self.rd, mu))
 
-    def ic_function(self, mu: Vec, n: int = 0) -> LinComb:
-        return self.k0.ic_function(mu, n)
+    def ic_function(self, mu: Vec) -> LinComb:
+        return self.k0.ic_function(mu)
 
     # -- path 1: through the Iwahori-Hecke algebra ---------------------
 
@@ -180,9 +191,9 @@ class SphericalHecke:
     # -- path 2: through the dual side ---------------------------------
 
     def to_ic_basis(self, f: LinComb) -> LinComb:
-        """Rewrite a c-basis function in the basis of untwisted
-        intersection-motive trace functions, by back-substitution along
-        the dominance order (the change of basis is unitriangular)."""
+        """Rewrite a c-basis function as the K0 element sum a_mu IC_mu(0)
+        whose trace is f, by back-substitution along the dominance order
+        (the change of basis is unitriangular)."""
         remaining = f
         out = []
         guard = 0
@@ -194,33 +205,19 @@ class SphericalHecke:
             lead = remaining.coefficient(mu)
             sigma = self.k0.sign(mu)
             a = lead if sigma == 1 else lead.scale(-1)
-            out.append((mu, a))
+            out.append((ICClass(mu, 0), a))
             remaining = remaining - self.k0.ic_function(mu).scale(a)
             if mu in remaining.keys():
                 raise HeckeError("basis change is not unitriangular")
         return LinComb(out)
 
-    def from_ic_basis(self, g: LinComb) -> LinComb:
-        return LinComb((lam, h * a) for mu, a in g.items()
-                       for lam, h in self.k0.ic_function(mu).items())
-
     def c_mul_satake(self, mu: Vec, lam: Vec) -> LinComb:
-        """c_mu * c_lam through the dual side: change basis to the trace
-        functions, multiply via K0 convolution, change back."""
+        """c_mu * c_lam through the dual side: change basis into K0,
+        convolve there, take the trace back."""
         return self.convolve(self.c(mu), self.c(lam))
 
     def convolve(self, f: LinComb, g: LinComb) -> LinComb:
-        fi = self.to_ic_basis(f)
-        gi = self.to_ic_basis(g)
-
-        def key_mul(mu: Vec, lam: Vec) -> LinComb:
-            conv = self.k0.convolve_ic(ICClass(mu, 0), ICClass(lam, 0))
-            # express the result back in untwisted trace functions:
-            # a twist n on IC_nu contributes a factor q^-n
-            return LinComb((cls.mu, p.shift(-cls.n)) for cls, p in conv.items())
-
-        prod_ic = fi.bilinear(gi, key_mul)
-        return self.from_ic_basis(prod_ic)
+        return self.k0.trace_to_hecke(self.k0.convolve(self.to_ic_basis(f), self.to_ic_basis(g)))
 
     # -- the transform -------------------------------------------------
 
@@ -229,7 +226,7 @@ class SphericalHecke:
         class in the representation ring of the modified dual group."""
         fi = self.to_ic_basis(f)
         return self.g1.quotient_normal_form(
-            LinComb((g1_class(self.rd, mu, n=0), a) for mu, a in fi.items()))
+            LinComb((g1_class(self.rd, cls.mu, n=cls.n), a) for cls, a in fi.items()))
 
     def satake_inverse(self, x: LinComb) -> LinComb:
         """Inverse of satake_transform on quotient-normal-form input."""

@@ -99,10 +99,10 @@ class SatakeK0:
             raise K0Error(f"stalk polynomial for {mu}, {lam} has negative exponents")
         return h
 
-    def ic_function(self, mu: Vec, n: int = 0) -> LinComb:
-        """Trace-of-Frobenius function of a twisted intersection motive,
-        in the c-basis: the coefficient of c_lam is sign * q^-n * h_{mu,lam}
-        for dominant lam <= mu, zero otherwise."""
+    def ic_function(self, mu: Vec) -> LinComb:
+        """Trace-of-Frobenius function of the untwisted intersection
+        motive IC_mu(0), in the c-basis: the coefficient of c_lam is
+        sign * h_{mu,lam} for dominant lam <= mu, zero otherwise."""
         mu = rdm.assert_dominant(self.rd, mu)
         base = self._ic_fn_cache.get(mu)
         if base is None:
@@ -115,14 +115,15 @@ class SatakeK0:
                 terms.append((lam, h.scale(sigma)))
             base = LinComb(terms)
             self._ic_fn_cache[mu] = base
-        if n == 0:
-            return base
-        return base.scale(LaurentPoly.q(-n))
+        return base
 
     def trace_to_hecke(self, x: LinComb) -> LinComb:
-        """Linear extension of ic_function over a K0 element."""
-        return LinComb((lam, h * p) for cls, p in x.items()
-                       for lam, h in self.ic_function(cls.mu, cls.n).items())
+        """The trace map from K0 to spherical Hecke functions: a Tate twist
+        n on IC_mu contributes the factor q^-n.  Twists are folded by mu
+        first, so each ic_function is expanded once per mu."""
+        folded = LinComb((cls.mu, p.shift(-cls.n)) for cls, p in x.items())
+        return LinComb((lam, h * p) for mu, p in folded.items()
+                       for lam, h in self.ic_function(mu).items())
 
     # -- parity / positivity reporting ---------------------------------
 

@@ -75,8 +75,8 @@ class LinComb:
 
     def bilinear(self, other: "LinComb", key_mul: Callable[[Hashable, Hashable], "LinComb"]) -> "LinComb":
         """Extend a key-level product bilinearly over the coefficients."""
-        return LinComb(term for k1, p1 in self._coeffs.items() for k2, p2 in other._coeffs.items()
-                       for term in key_mul(k1, k2).scale(p1 * p2).items())
+        return LinComb((k, p * (p1 * p2)) for k1, p1 in self._coeffs.items()
+                       for k2, p2 in other._coeffs.items() for k, p in key_mul(k1, k2).items())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinComb) and self._coeffs == other._coeffs

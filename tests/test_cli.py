@@ -137,6 +137,7 @@ class TestInputErrors:
         ("ic-convolve", "--group", "SL(2)", "--mu", "1"),
         ("frobnicate",),
         (),
+        ("verify", "--group", "SL(2)", "--bound", "65"),
     ])
     def test_one_line_error_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

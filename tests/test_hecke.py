@@ -7,8 +7,9 @@ import random
 import pytest
 
 import satake.root_datum as rdm
-from satake import LaurentPoly, LinComb, catalog, weyl
+from satake import LaurentPoly, LinComb, catalog, hecke, weyl
 from satake.hecke import IwahoriHecke, SphericalHecke, HeckeError
+from satake.k0 import ICClass
 from satake.laurent import ONE
 from satake.rep_ring import G1RepClass
 from satake.verify import dominant_pairs
@@ -76,9 +77,10 @@ class TestIwahori:
             at_one = {k: p.eval_at_one() for k, p in prod.items() if p.eval_at_one()}
             assert at_one == {iw.W.mul(x, y): 1}
 
-    def test_length_bound(self):
+    def test_length_bound(self, monkeypatch):
+        monkeypatch.setattr(hecke, "MAX_KEY_LENGTH", 4)
         rd = catalog("PGL(2)")
-        iw = IwahoriHecke(rd, length_bound=4)
+        iw = IwahoriHecke(rd)
         big = iw.basis(iw.W.translation((10,)))
         with pytest.raises(HeckeError):
             iw.mul(big, big)
@@ -269,7 +271,8 @@ class TestTraceFunctions:
         sph = SphericalHecke(rd)
         zero = (0, 0)
         for n in (-2, 0, 3):
-            assert sph.ic_function(zero, n) == LinComb.unit(zero, LaurentPoly.q(-n))
+            assert sph.k0.trace_to_hecke(sph.k0.element(zero, n)) == \
+                LinComb.unit(zero, LaurentPoly.q(-n))
 
     def test_leading_coefficient(self):
         rd = catalog("SL(3)")
@@ -290,18 +293,19 @@ class TestTraceFunctions:
         rng = random.Random(41)
         reps = rdm.dominant_reps(rd, 6)
         for _ in range(10):
-            f = LinComb((rng.choice(reps),
-                         LaurentPoly.q(rng.randrange(-2, 3), rng.randrange(-3, 4)))
-                        for _ in range(3))
-            assert sph.from_ic_basis(sph.to_ic_basis(f)) == f
-            assert sph.to_ic_basis(sph.from_ic_basis(f)) == f
+            terms = [(rng.choice(reps), LaurentPoly.q(rng.randrange(-2, 3), rng.randrange(-3, 4)))
+                     for _ in range(3)]
+            f = LinComb(terms)
+            x = LinComb((ICClass(mu, 0), p) for mu, p in terms)
+            assert sph.k0.trace_to_hecke(sph.to_ic_basis(f)) == f
+            assert sph.to_ic_basis(sph.k0.trace_to_hecke(x)) == x
 
 
 class TestTransform:
     def test_kernel_image(self):
         rd = catalog("PGL(2)")
         sph = SphericalHecke(rd)
-        f = sph.ic_function((0,), -1)  # = q * c_0
+        f = sph.k0.trace_to_hecke(sph.k0.element((0,), -1))  # = q * c_0
         assert f == sph.c((0,)).scale(LaurentPoly.q())
         image = sph.satake_transform(f)
         assert image == LinComb.unit(G1RepClass((0,), 0), LaurentPoly.q())

@@ -143,6 +143,20 @@ class TestTraceMap:
                 LinComb.unit(ICClass(zero, 0), LaurentPoly.q())
             assert k0.trace_to_hecke(x).is_zero()
 
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_twists_of_one_class_fold(self, signed):
+        k0 = SatakeK0(catalog("PGL(2)"), signed_trace=signed)
+        mu, other = (3,), (2,)
+        x = LinComb(((ICClass(mu, 0), P((0, 2))), (ICClass(mu, 1), P((1, -1))),
+                     (ICClass(mu, -2), P((0, 1), (3, 1))), (ICClass(other, 1), P((0, 5)))))
+        expected = LinComb.zero()
+        for cls, p in x.items():
+            expected = expected + k0.ic_function(cls.mu).scale(LaurentPoly.q(-cls.n) * p)
+        assert k0.trace_to_hecke(x) == expected
+        # IC_mu(-1) and q * IC_mu(0) have the same trace
+        assert k0.trace_to_hecke(LinComb(((ICClass(mu, -1), ONE),
+                                          (ICClass(mu, 0), -LaurentPoly.q())))).is_zero()
+
     def test_unitriangular_hence_injective_on_untwisted_span(self):
         rd = catalog("SL(3)")
         k0 = SatakeK0(rd)

@@ -2,10 +2,11 @@
 a deliberately corrupted object and must report FAIL."""
 import pytest
 
+import satake.root_datum as rdm
 from satake import LaurentPoly, catalog
 from satake.hecke import SphericalHecke
 from satake.rep_ring import RepRing
-from satake.verify import suite_specialization
+from satake.verify import suite_dual_group, suite_specialization
 
 
 class ShiftedQAnalogs(RepRing):
@@ -30,3 +31,13 @@ def test_specialization_catches_shifted_q_analogs(name, monkeypatch):
     monkeypatch.setattr(sph.k0, "R", ShiftedQAnalogs(rd))
     suite, passed, _ = suite_specialization(sph, 4)
     assert suite == "q=1 specialization" and not passed
+
+
+@pytest.mark.parametrize("name", ["PGL(2)", "GL(3)", "Sp(4)*SL(2)"])
+def test_dual_group_catches_a_dual_name_catalog_rejects(name, monkeypatch):
+    rd = catalog(name)
+    sph = SphericalHecke(rd)
+    assert suite_dual_group(sph)[1]
+    monkeypatch.setattr(rdm, "_dual_name", lambda n: f"dual({n})")
+    suite, passed, _ = suite_dual_group(sph)
+    assert suite == "dual group data" and not passed
