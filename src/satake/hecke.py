@@ -103,6 +103,7 @@ class SphericalHecke:
         self.g1 = g1_ring(rd)
         self.signed_trace = signed_trace
         self._c_mul_cache: dict[tuple[Vec, Vec], LinComb] = {}
+        self._ic_expansion_cache: dict[Vec, LinComb] = {}
 
     # -- generic helpers ----------------------------------------------
 
@@ -211,13 +212,20 @@ class SphericalHecke:
                 raise HeckeError("basis change is not unitriangular")
         return LinComb(out)
 
+    def ic_expansion(self, mu: Vec) -> LinComb:
+        """to_ic_basis(c(mu)), computed once per dominant mu; the sign
+        convention is fixed per instance, so the cache is exact."""
+        key = tuple(mu)
+        cached = self._ic_expansion_cache.get(key)
+        if cached is None:
+            cached = self.to_ic_basis(self.c(mu))
+            self._ic_expansion_cache[key] = cached
+        return cached
+
     def c_mul_satake(self, mu: Vec, lam: Vec) -> LinComb:
         """c_mu * c_lam through the dual side: change basis into K0,
         convolve there, take the trace back."""
-        return self.convolve(self.c(mu), self.c(lam))
-
-    def convolve(self, f: LinComb, g: LinComb) -> LinComb:
-        return self.k0.trace_to_hecke(self.k0.convolve(self.to_ic_basis(f), self.to_ic_basis(g)))
+        return self.k0.trace_to_hecke(self.k0.convolve(self.ic_expansion(mu), self.ic_expansion(lam)))
 
     # -- the transform -------------------------------------------------
 

@@ -103,9 +103,9 @@ class SatakeK0:
         """Trace-of-Frobenius function of the untwisted intersection
         motive IC_mu(0), in the c-basis: the coefficient of c_lam is
         sign * h_{mu,lam} for dominant lam <= mu, zero otherwise."""
-        mu = rdm.assert_dominant(self.rd, mu)
-        base = self._ic_fn_cache.get(mu)
+        base = self._ic_fn_cache.get(tuple(mu))
         if base is None:
+            mu = rdm.assert_dominant(self.rd, mu)
             sigma = self.sign(mu)
             terms = []
             for lam in rdm.dominant_below(self.rd, mu):

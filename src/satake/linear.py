@@ -74,9 +74,16 @@ class LinComb:
         return LinComb((k, p * scalar) for k, p in self._coeffs.items())
 
     def bilinear(self, other: "LinComb", key_mul: Callable[[Hashable, Hashable], "LinComb"]) -> "LinComb":
-        """Extend a key-level product bilinearly over the coefficients."""
-        return LinComb((k, p * (p1 * p2)) for k1, p1 in self._coeffs.items()
-                       for k2, p2 in other._coeffs.items() for k, p in key_mul(k1, k2).items())
+        """Extend a key-level product bilinearly over the coefficients;
+        each coefficient product p1 * p2 is formed once per key pair."""
+        def terms():
+            for k1, p1 in self._coeffs.items():
+                for k2, p2 in other._coeffs.items():
+                    p12 = p1 * p2
+                    for k, p in key_mul(k1, k2).items():
+                        yield k, p * p12
+
+        return LinComb(terms())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinComb) and self._coeffs == other._coeffs

@@ -30,6 +30,7 @@ class RepRing:
         self.rd = rd
         self.W0 = finite_weyl_group(rd)
         self._kostant_cache: dict[tuple, LaurentPoly] = {}
+        self._partition_cache: dict[Vec, LaurentPoly] = {}
         self._char_cache: dict[Vec, dict[Vec, int]] = {}
         self._tensor_cache: dict[tuple[Vec, Vec], dict[Vec, int]] = {}
 
@@ -37,11 +38,18 @@ class RepRing:
 
     def kostant_partition(self, v: Vec) -> LaurentPoly:
         """Sum over multisets of positive coroots with sum v of
-        q^(multiset size); zero if v is not a nonnegative combination."""
-        coords = rdm.coroot_coords(self.rd, v)
-        if coords is None or any(c < 0 for c in coords):
-            return LaurentPoly.zero()
-        return self._kostant_graded(coords, 0)
+        q^(multiset size); zero if v is not a nonnegative combination.
+        One coroot solve per vector: the result is kept by v."""
+        v = tuple(v)
+        cached = self._partition_cache.get(v)
+        if cached is None:
+            coords = rdm.coroot_coords(self.rd, v)
+            if coords is None or any(c < 0 for c in coords):
+                cached = LaurentPoly.zero()
+            else:
+                cached = self._kostant_graded(coords, 0)
+            self._partition_cache[v] = cached
+        return cached
 
     def _kostant_graded(self, coords: tuple[int, ...], i: int) -> LaurentPoly:
         if not any(coords):
@@ -104,10 +112,10 @@ class RepRing:
     def character(self, mu: Vec) -> dict[Vec, int]:
         """All weights of the irreducible with highest weight mu, with
         multiplicities; W_0-invariant by construction."""
-        mu = rdm.assert_dominant(self.rd, mu)
-        cached = self._char_cache.get(mu)
+        cached = self._char_cache.get(tuple(mu))
         if cached is not None:
             return cached
+        mu = rdm.assert_dominant(self.rd, mu)
         char: dict[Vec, int] = {}
         aw = affine_weyl_group(self.rd)
         for lam in rdm.dominant_below(self.rd, mu):
@@ -123,12 +131,12 @@ class RepRing:
         """Decomposition multiplicities of the tensor product of the two
         irreducibles, by character product and greedy highest-weight
         extraction."""
+        cached = self._tensor_cache.get((tuple(mu), tuple(lam)))
+        if cached is not None:
+            return cached
         mu = rdm.assert_dominant(self.rd, mu)
         lam = rdm.assert_dominant(self.rd, lam)
         key = (mu, lam)
-        cached = self._tensor_cache.get(key)
-        if cached is not None:
-            return cached
         prod: dict[Vec, int] = {}
         for v1, m1 in self.character(mu).items():
             for v2, m2 in self.character(lam).items():

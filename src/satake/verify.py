@@ -7,10 +7,10 @@ from __future__ import annotations
 import math
 import random
 
-from . import root_datum as rdm
-from .hecke import SphericalHecke
+from . import hecke, root_datum as rdm
+from .hecke import KeyLengthError, SphericalHecke
 from .k0 import ICClass, purity_weight
-from .lattices import vadd, vscale, zero_vec
+from .lattices import Vec, vadd, vscale, zero_vec
 from .laurent import LaurentPoly
 from .linear import LinComb
 from .root_datum import RootDatum, RootDatumError, catalog
@@ -169,13 +169,24 @@ def suite_transform(sph: SphericalHecke, dmax: int, seed: int) -> Result:
     return ("satake transform bijection", True, "round trips and multiplicativity")
 
 
+def longest_key_length(rd: RootDatum, mu: Vec) -> int:
+    """Length of w0 t_mu, the longest key of the indicator 1_mu of a
+    dominant mu: d(mu) + l(w0), where l(w0) counts the positive roots."""
+    return rdm.d_pairing(rd, mu) + len(rd.positive_roots)
+
+
 def run_all(rd: RootDatum, bound: int, seed: int, signed_trace: bool,
             inject_fault: bool) -> list[Result]:
+    # the cross-path sweep multiplies 1_mu by c_0 for every representative
+    # mu, so exactly the bounds it would refuse are refused before any suite
+    reps = rdm.dominant_reps(rd, bound)
+    if max((longest_key_length(rd, mu) for mu in reps), default=0) > hecke.MAX_KEY_LENGTH:
+        raise KeyLengthError(f"product too long: key length exceeds bound {hecke.MAX_KEY_LENGTH}")
     sph = SphericalHecke(rd, signed_trace=signed_trace)
     if inject_fault:
         # negative control: corrupt one stalk polynomial and expect the
         # cross-path oracle to notice
-        for mu in rdm.dominant_reps(rd, bound):
+        for mu in reps:
             below = rdm.dominant_below(rd, mu)
             lams = [l for l in below if l != mu]
             if lams:

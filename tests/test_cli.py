@@ -138,6 +138,8 @@ class TestInputErrors:
         ("frobnicate",),
         (),
         ("verify", "--group", "SL(2)", "--bound", "65"),
+        ("verify", "--group", "SL(2)", "--bound", "64"),
+        ("verify", "--group", "SL(2)", "--bound", "65", "--inject-fault"),
     ])
     def test_one_line_error_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -3,6 +3,7 @@ basis with its two independent multiplication paths, trace functions, and
 the transform onto the twisted representation ring."""
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -140,6 +141,38 @@ class TestWorkCounts:
         for i in range(len(sph.W.simple_refs)):
             sph.iwahori._mul_simple_right(a, i)
         assert counts["mat_vec"] == 0
+
+
+class TestDualWorkCounts:
+    """The cost shape of the dual path, pinned by counting calls: one K0
+    expansion per factor weight, and one coroot solve per Kostant
+    argument."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_each_weight_is_computed_once(self, monkeypatch, name, signed):
+        expanded, solved = Counter(), Counter()
+        to_ic_basis, coroot_coords = SphericalHecke.to_ic_basis, rdm.coroot_coords
+
+        def counted_to_ic_basis(sph, f):
+            expanded.update(f.keys())
+            return to_ic_basis(sph, f)
+
+        def counted_coroot_coords(rd, v):
+            solved[tuple(v)] += 1
+            return coroot_coords(rd, v)
+
+        monkeypatch.setattr(SphericalHecke, "to_ic_basis", counted_to_ic_basis)
+        monkeypatch.setattr(rdm, "coroot_coords", counted_coroot_coords)
+        rd = catalog(name)
+        sph = SphericalHecke(rd, signed_trace=signed)
+        pairs = list(dominant_pairs(rd, 8))
+        for mu, lam in pairs:
+            assert sph.c_mul_satake(mu, lam) == sph.c_mul_iwahori(mu, lam), (mu, lam)
+        assert set(expanded) <= {w for pair in pairs for w in pair}
+        assert all(n == 1 for n in expanded.values()), expanded
+        # the RepRing is shared between instances, so count repeats only
+        assert all(n == 1 for n in solved.values()), solved
 
 
 class TestIndicators:

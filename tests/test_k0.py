@@ -173,6 +173,17 @@ class TestTraceMap:
         assert signed.ic_function((1,)) == -plain.ic_function((1,))
         assert signed.ic_function((2,)) == plain.ic_function((2,))
 
+    @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_warm_cache_still_refuses_bad_weights(self, name):
+        rd = catalog(name)
+        k0 = SatakeK0(rd)
+        mu = max(rdm.dominant_reps(rd, 4), key=lambda v: rdm.d_pairing(rd, v))
+        f = k0.ic_function(mu)
+        assert k0.ic_function(list(mu)) is f
+        for bad in (tuple(-c for c in mu), mu + (0,)):
+            with pytest.raises(rdm.RootDatumError):
+                k0.ic_function(bad)
+
 
 def test_ic_class_validation():
     rd = catalog("GL(2)")

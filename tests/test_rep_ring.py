@@ -143,6 +143,22 @@ class TestTensorDecompose:
         for mu, lam in itertools.product(reps, repeat=2):
             assert R.tensor_decompose(mu, lam) == tensor_oracle(rd, mu, lam, oracle)
 
+    @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_warm_caches_still_refuse_bad_weights(self, name):
+        # weights are checked only when a cache misses: a bad weight never
+        # enters a cache, and a list finds the entry of its tuple
+        rd = catalog(name)
+        R = rep_ring(rd)
+        mu = max(rdm.dominant_reps(rd, 4), key=lambda v: rdm.d_pairing(rd, v))
+        char, dec = R.character(mu), R.tensor_decompose(mu, mu)
+        assert R.character(list(mu)) is char
+        assert R.tensor_decompose(list(mu), list(mu)) is dec
+        for bad in (tuple(-c for c in mu), mu + (0,)):
+            for call in (lambda: R.character(bad), lambda: R.tensor_decompose(mu, bad),
+                         lambda: R.tensor_decompose(bad, mu)):
+                with pytest.raises(rdm.RootDatumError):
+                    call()
+
 
 class TestLusztigQAnalog:
     def test_diagonal_is_one(self):

@@ -60,7 +60,7 @@ def test_every_imported_name_is_used(path):
 
 
 DUAL_PATH_NAMES = {"k0", "g1", "rep_ring", "convolve", "c_mul_satake",
-                   "to_ic_basis", "from_ic_basis"}
+                   "to_ic_basis", "from_ic_basis", "ic_expansion", "_ic_expansion_cache"}
 
 
 def iwahori_path_bodies():

@@ -1,12 +1,13 @@
 """Self-verification suites: each must be able to fail.  A suite is run on
-a deliberately corrupted object and must report FAIL."""
+a deliberately corrupted object and must report FAIL.  A bound whose
+Iwahori keys would be too long is refused before any suite runs."""
 import pytest
 
 import satake.root_datum as rdm
-from satake import LaurentPoly, catalog
-from satake.hecke import SphericalHecke
+from satake import LaurentPoly, catalog, hecke, verify
+from satake.hecke import KeyLengthError, SphericalHecke
 from satake.rep_ring import RepRing
-from satake.verify import suite_dual_group, suite_specialization
+from satake.verify import longest_key_length, run_all, suite_dual_group, suite_specialization
 
 
 class ShiftedQAnalogs(RepRing):
@@ -41,3 +42,20 @@ def test_dual_group_catches_a_dual_name_catalog_rejects(name, monkeypatch):
     monkeypatch.setattr(rdm, "_dual_name", lambda n: f"dual({n})")
     suite, passed, _ = suite_dual_group(sph)
     assert suite == "dual group data" and not passed
+
+
+@pytest.mark.parametrize("name", ["GL(3)", "Sp(4)", "Sp(4)*SL(2)"])
+def test_longest_key_length_is_that_of_the_maximal_element(name):
+    rd = catalog(name)
+    W = SphericalHecke(rd).W
+    for mu in rdm.dominant_reps(rd, 6):
+        assert longest_key_length(rd, mu) == W.im_length(W.spherical_double_coset(mu)[2])
+
+
+@pytest.mark.parametrize("inject_fault", [False, True])
+def test_long_bound_is_refused_before_any_suite(monkeypatch, inject_fault):
+    monkeypatch.setattr(hecke, "MAX_KEY_LENGTH", 4)
+    monkeypatch.setattr(verify, "suite_quadratic",
+                        lambda sph: pytest.fail("a suite ran before the bound was refused"))
+    with pytest.raises(KeyLengthError, match="^product too long: key length exceeds bound 4$"):
+        run_all(catalog("SL(3)"), 4, 0, signed_trace=False, inject_fault=inject_fault)
