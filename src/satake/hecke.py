@@ -13,7 +13,7 @@ from functools import lru_cache
 from . import root_datum as rdm
 from .k0 import ICClass, SatakeK0
 from .lattices import Vec, zero_vec
-from .laurent import LaurentPoly
+from .laurent import ONE, LaurentPoly
 from .linear import LinComb
 from .rep_ring import g1_class, g1_ring
 from .root_datum import RootDatum
@@ -33,8 +33,11 @@ class HeckeError(RuntimeError):
 
 
 class KeyLengthError(HeckeError):
-    """A factor has a key longer than MAX_KEY_LENGTH: the input is
-    refused for its size, which is not a fault of the algebra."""
+    """A factor has a key longer than the bound: the input is refused for
+    its size, which is not a fault of the algebra."""
+
+    def __init__(self, bound: int):
+        super().__init__(f"product too long: key length exceeds bound {bound}")
 
 
 class IwahoriHecke:
@@ -76,7 +79,7 @@ class IwahoriHecke:
         factors = [(W.reduced_word(x), p) for x, p in b.items()]
         lengths = [W.im_length(x) for x in a.keys()] + [len(word) for (word, _), _ in factors]
         if any(n > MAX_KEY_LENGTH for n in lengths):
-            raise KeyLengthError(f"product too long: key length exceeds bound {MAX_KEY_LENGTH}")
+            raise KeyLengthError(MAX_KEY_LENGTH)
 
         def terms():
             for (word, omega), p in factors:
@@ -103,6 +106,7 @@ class SphericalHecke:
         self.g1 = g1_ring(rd)
         self.signed_trace = signed_trace
         self._c_mul_cache: dict[tuple[Vec, Vec], LinComb] = {}
+        self._stabiliser_cache: dict[Vec, LaurentPoly] = {}
         self._ic_expansion_cache: dict[Vec, LinComb] = {}
 
     # -- generic helpers ----------------------------------------------
@@ -118,43 +122,80 @@ class SphericalHecke:
 
     # -- path 1: through the Iwahori-Hecke algebra ---------------------
 
-    def indicator_from_iwahori(self, mu: Vec) -> LinComb:
-        """The bi-invariant double coset indicator as a sum of T_w over
-        the spherical double coset of mu, all coefficients 1."""
-        coset, _, _ = self.W.spherical_double_coset(mu)
-        return LinComb((x, LaurentPoly.one()) for x in coset)
+    def left_minimal_sum(self, mu: Vec) -> LinComb:
+        """Z_mu, the sum of T_z over the |W_0 mu| elements z of W_0 t_mu W_0
+        that are minimal in their left coset W_0 z, for a dominant mu.
+
+        z is minimal in W_0 z iff z^-1 is minimal in z^-1 W_0, one of the
+        right cosets t_eta W_0 of W_0 t_-mu W_0, so z = (t_eta v_eta)^-1 =
+        t_{-v_eta^-1 eta} v_eta^-1 for eta in W_0 (-mu)
+        (``AffineWeylGroup.min_coset_element``).  For beta > 0, v_eta
+        sends beta to a positive root gamma with <gamma, eta> <= 0 or to
+        -gamma with <gamma, eta> > 0, so <beta, v_eta^-1 eta> =
+        <v_eta beta, eta> <= 0, with equality only if v_eta beta > 0.
+        Hence v_eta^-1 eta = -mu, z = t_mu u with u = v_eta^-1, and u
+        inverts only roots beta with <beta, mu> > 0.  Such u are the
+        minimal elements of the cosets W_mu u, |W_0 mu| of them, and the
+        map eta -> u is injective, so Z_mu sums T_{t_mu u} over exactly
+        these u."""
+        moved = [k != 0 for k in self.W.root_pairings(mu)]
+        return LinComb((AffineWeylElement(mu, u), ONE) for u in self.W.W0.inverting_within(moved))
+
+    def stabiliser_polynomial(self, nu: Vec) -> LaurentPoly:
+        """P_{W_nu}(q), the sum of q^l(w) over the stabiliser W_nu of a
+        dominant nu in W_0, computed once per nu.
+
+        W_nu is the parabolic subgroup of the simple reflections that fix
+        nu, so its elements are the w that invert only roots orthogonal
+        to nu; ``left_minimal_sum`` takes the complementary roots."""
+        cached = self._stabiliser_cache.get(nu)
+        if cached is None:
+            fixed = [k == 0 for k in self.W.root_pairings(nu)]
+            cached = LaurentPoly((w.length, 1) for w in self.W.W0.inverting_within(fixed))
+            self._stabiliser_cache[nu] = cached
+        return cached
 
     def c_mul_iwahori(self, mu: Vec, lam: Vec) -> LinComb:
         """c_mu * c_lam through the Iwahori-Hecke algebra, as
-        (1_mu T_x 1_W0) / P_{W_x}(q).
+        sum_y b_y q^(l(y) - m(nu+)) P_{W_nu+}(q) c_nu+ / P_{W_lam}(q)
+        over the keys y = t_nu w of b = Z_mu T_x, with nu+ the dominant
+        conjugate of nu.
 
         Here 1_nu is the sum of T_y over the double coset W_0 t_nu W_0,
-        1_W0 = 1_0, x is the minimal element of W_0 t_lam W_0 and
-        W_x = W_0 cap x W_0 x^-1, the stabiliser in W_0 of the
-        translation part of x.  The spherical product is
-        c_mu * c_lam = 1_mu 1_lam / P_{W_0}(q).  Why the reduction holds:
+        1_W0 = 1_0, x = t_lam v_lam (``AffineWeylGroup.min_coset_element``)
+        is the minimal element of W_0 t_lam W_0, m(nu) is the length of
+        the minimal element of t_nu W_0 (``min_coset_length``) and P_{W_nu}
+        is the Poincare polynomial of the stabiliser of nu in W_0; the
+        stabiliser of the translation part of x is W_x = W_lam.  The
+        spherical product is c_mu * c_lam = 1_mu 1_lam / P_{W_0}(q).  Why
+        the reduction holds (Iwahori-Matsumoto length additivity, as in
+        Macdonald's Spherical functions on a group of p-adic type):
 
-        * every y in W_0 x W_0 is uniquely u x v with lengths adding,
-          where u runs over the minimal representatives of W_0 / W_x and
-          v over W_0, so 1_lam = sum_u T_u T_x 1_W0;
+        * x is minimal in W_0 t_lam W_0: over nu in W_0 lam, m(nu) is the
+          sum of |<alpha, nu>| less the number of positive alpha with
+          <alpha, nu> > 0, and that number is largest exactly for nu = lam;
+        * every y in a double coset W_0 x' W_0, x' its minimal element, is
+          uniquely u x' v with lengths adding, u a minimal representative
+          of W_0 / W_x' and v in W_0; so 1_lam = sum_u T_u T_x 1_W0, and
+          1_W0 T_y 1_W0 = q^(l(y) - l(x')) 1_W0 T_x' 1_W0
+                        = q^(l(y) - l(x')) P_{W_x'} 1_nu+
+          for y in W_0 t_nu+ W_0, since 1_W0 T_u = q^l(u) 1_W0 and
+          T_v 1_W0 = q^l(v) 1_W0;
+        * read on the left, every y in W_0 t_mu W_0 is uniquely u z with u
+          in W_0, z minimal in W_0 z and lengths adding, so
+          1_mu = 1_W0 Z_mu (``left_minimal_sum``), with |W_0 mu| terms;
         * 1_mu T_s = q 1_mu for every finite simple s, so
-          1_mu T_u = q^l(u) 1_mu, and sum_u q^l(u) = P_{W_0} / P_{W_x};
-        * hence 1_mu 1_lam = (P_{W_0} / P_{W_x}) 1_mu T_x 1_W0.
+          1_mu T_u = q^l(u) 1_mu, and sum_u q^l(u) = P_{W_0} / P_{W_lam};
+        * hence 1_mu 1_lam = (P_{W_0} / P_{W_lam}) 1_W0 (Z_mu T_x) 1_W0,
+          and each key y of b = Z_mu T_x contributes
+          b_y q^(l(y) - m(nu+)) P_{W_nu+} / P_{W_lam} to c_nu+.
 
-        The factor 1_W0 is never multiplied out.  If y'_nu is the minimal
-        element of the right coset t_nu W_0, then y'_nu v has length
-        l(y'_nu) + l(v), so T_{y'_nu v} 1_W0 = T_{y'_nu} T_v 1_W0 =
-        q^l(v) T_{y'_nu} 1_W0.  Hence for b = 1_mu T_x,
-
-            b 1_W0 = sum_nu c_nu T_{y'_nu} 1_W0,
-            c_nu = sum_{w in W_0} q^(l(t_nu w) - m(nu)) b_{t_nu w},
-
-        with m(nu) = l(y'_nu) = sum_{alpha > 0} |<alpha, nu>| -
-        [<alpha, nu> > 0] (``AffineWeylGroup.min_coset_length``), and
-        b 1_W0 takes the value c_nu on all of t_nu W_0.  It is still a
-        bi-invariant function: the support of c must be a union of
-        W_0-orbits, c must be constant on each orbit, and each value must
-        divide exactly by P_{W_x}; any failure is fatal.
+        Grouped by nu, the sum over y is the projection of b onto the
+        right cosets t_nu W_0, shifted by q^(m(nu) - m(nu+)).  The result
+        is bi-invariant by construction, so two guards remain: each value
+        must divide exactly by P_{W_lam}, and at q = 1, where the algebra
+        is the group algebra, the point counts must add up,
+        sum_nu a_nu(1) |W_0 nu| = |W_0 mu| |W_0 lam|; any failure is fatal.
         """
         mu = rdm.assert_dominant(self.rd, mu)
         lam = rdm.assert_dominant(self.rd, lam)
@@ -163,28 +204,26 @@ class SphericalHecke:
         if cached is not None:
             return cached
         W = self.W
-        _, x, _ = W.spherical_double_coset(lam)
-        b = self.iwahori.mul(self.indicator_from_iwahori(mu), self.iwahori.basis(x))
-        m = {nu: W.min_coset_length(nu) for nu in {y.translation for y in b.keys()}}
-        c = LinComb((y.translation, p.shift(W.im_length(y) - m[y.translation]))
+        z_mu = self.left_minimal_sum(mu)
+        b = self.iwahori.mul(z_mu, self.iwahori.basis(W.min_coset_element(lam)))
+        dom = {nu: W.dominant_representative(nu) for nu in {y.translation for y in b.keys()}}
+        m = {nu: W.min_coset_length(nu) for nu in set(dom.values())}
+        s = LinComb((dom[y.translation], p.shift(W.im_length(y) - m[dom[y.translation]]))
                     for y, p in b.items())
-        pwx = LaurentPoly((w.length, 1) for w in W.W0.elements
-                          if w.apply_cochar(x.translation) == x.translation)
-        by_orbit: dict[Vec, dict] = {}
-        for nu, p in c.items():
-            by_orbit.setdefault(W.dominant_representative(nu), {})[nu] = p
+        pwl = self.stabiliser_polynomial(lam)
         out = []
-        for nu, coeffs in sorted(by_orbit.items()):
-            if set(coeffs) != W.orbit(nu):
-                raise HeckeError(f"product support does not fill the double coset of {nu}")
-            values = set(coeffs.values())
-            if len(values) != 1:
-                raise HeckeError(f"product is not bi-invariant on the double coset of {nu}")
+        for nu, p in sorted(s.items()):
             try:
-                value = values.pop().divexact(pwx)
+                value = (p * self.stabiliser_polynomial(nu)).divexact(pwl)
             except ValueError as exc:
                 raise HeckeError(f"value on the double coset of {nu}: {exc}") from None
             out.append((nu, value))
+        order = len(W.W0)
+        mass = sum(p.eval_at_one() * (order // self.stabiliser_polynomial(nu).eval_at_one())
+                   for nu, p in out)
+        expected = len(z_mu) * (order // pwl.eval_at_one())
+        if mass != expected:
+            raise HeckeError(f"product mass at q = 1 is {mass}, not |W_0 mu| |W_0 lam| = {expected}")
         result = LinComb(out)
         self._c_mul_cache[key] = result
         return result
@@ -232,9 +271,13 @@ class SphericalHecke:
     def satake_transform(self, f: LinComb) -> LinComb:
         """Send a spherical function to the quotient normal form of its
         class in the representation ring of the modified dual group."""
-        fi = self.to_ic_basis(f)
+        return self.k0_to_g1(self.to_ic_basis(f))
+
+    def k0_to_g1(self, x: LinComb) -> LinComb:
+        """The quotient normal form of the image of a K0 element sum
+        a IC_mu(n) in the representation ring of the modified dual group."""
         return self.g1.quotient_normal_form(
-            LinComb((g1_class(self.rd, cls.mu, n=cls.n), a) for cls, a in fi.items()))
+            LinComb((g1_class(self.rd, cls.mu, n=cls.n), a) for cls, a in x.items()))
 
     def satake_inverse(self, x: LinComb) -> LinComb:
         """Inverse of satake_transform on quotient-normal-form input."""

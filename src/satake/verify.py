@@ -163,7 +163,7 @@ def suite_transform(sph: SphericalHecke, dmax: int, seed: int) -> Result:
     for mu, lam in list(dominant_pairs(rd, min(dmax, 4))):
         lhs = sph.satake_transform(sph.c_mul_iwahori(mu, lam))
         rhs = sph.g1.quotient_normal_form(
-            sph.g1.mul(sph.satake_transform(sph.c(mu)), sph.satake_transform(sph.c(lam))))
+            sph.g1.mul(sph.k0_to_g1(sph.ic_expansion(mu)), sph.k0_to_g1(sph.ic_expansion(lam))))
         if lhs != rhs:
             return ("satake transform bijection", False, f"not multiplicative at {mu}, {lam}")
     return ("satake transform bijection", True, "round trips and multiplicativity")
@@ -177,11 +177,11 @@ def longest_key_length(rd: RootDatum, mu: Vec) -> int:
 
 def run_all(rd: RootDatum, bound: int, seed: int, signed_trace: bool,
             inject_fault: bool) -> list[Result]:
-    # the cross-path sweep multiplies 1_mu by c_0 for every representative
-    # mu, so exactly the bounds it would refuse are refused before any suite
+    # a bound is refused before any suite when the indicator 1_mu of some
+    # representative mu has a key longer than hecke.MAX_KEY_LENGTH
     reps = rdm.dominant_reps(rd, bound)
     if max((longest_key_length(rd, mu) for mu in reps), default=0) > hecke.MAX_KEY_LENGTH:
-        raise KeyLengthError(f"product too long: key length exceeds bound {hecke.MAX_KEY_LENGTH}")
+        raise KeyLengthError(hecke.MAX_KEY_LENGTH)
     sph = SphericalHecke(rd, signed_trace=signed_trace)
     if inject_fault:
         # negative control: corrupt one stalk polynomial and expect the

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from . import lattices, root_datum as rdm
+from . import lattices
 from .lattices import Vec, mat_vec, vadd, vsub, zero_vec
 from .root_datum import RootDatum
 
@@ -68,6 +68,8 @@ class FiniteWeylGroup:
     Since s_i permutes the positive roots other than alpha_i, the inversion
     flags of w and w s_i differ at exactly one positive root, the one equal
     to +-w alpha_i; the same loop records its index as ``flip[k][i]``.
+    An element is determined by its inversion flags, so ``by_inverted``
+    maps each ``inverted`` tuple back to its element.
     """
 
     def __init__(self, rd: RootDatum):
@@ -104,6 +106,7 @@ class FiniteWeylGroup:
                 flips.append(list(changed).index(True))
             self._right.append(row)
             self.flip.append(flips)
+        self.by_inverted = {w.inverted: w for w in self.elements}
         self.identity = self.elements[0]
         self.generators = [self.elements[k] for k in self._right[0]]
 
@@ -117,6 +120,12 @@ class FiniteWeylGroup:
 
     def inverse(self, a: FiniteWeylElement) -> FiniteWeylElement:
         return self._walk(0, reversed(a.word))
+
+    def inverting_within(self, allowed: Iterable[bool]) -> list[FiniteWeylElement]:
+        """The elements whose inversion flags are set only at positive
+        roots where ``allowed`` is true, in the order of ``elements``."""
+        forbidden = [not a for a in allowed]
+        return [w for w in self.elements if not any(map(operator.and_, w.inverted, forbidden))]
 
     def longest(self) -> FiniteWeylElement:
         return self.elements[-1]
@@ -165,7 +174,6 @@ class AffineWeylGroup:
             s_theta = next(w for w in self.W0.elements if w.act_cochar == act)
             self.simple_refs.append(AffineWeylElement(theta_cov, s_theta))
             self._theta_conj.append(self._simple_conjugate(theta_cov))
-        self._dc_cache: dict[Vec, tuple] = {}
 
     # -- structure ----------------------------------------------------
 
@@ -306,8 +314,21 @@ class AffineWeylGroup:
         exactly the positive alpha with <alpha, nu> > 0, and that set is
         closed and co-closed, hence an inversion set, so the minimum is
         the sum over positive alpha of |<alpha, nu>| - [<alpha, nu> > 0]."""
-        ks = (sum(r * c for r, c in zip(row, nu)) for row in self._root_rows)
-        return sum(abs(k) - (k > 0) for k in ks)
+        return sum(abs(k) - (k > 0) for k in self.root_pairings(nu))
+
+    def min_coset_element(self, nu: Vec) -> AffineWeylElement:
+        """The minimal element t_nu v_nu of the right coset t_nu W_0.
+
+        By ``min_coset_length``, v_nu^-1 inverts exactly the positive
+        alpha with <alpha, nu> > 0, so v_nu is the element of W_0 with
+        those inversion flags, looked up in ``W0.by_inverted``."""
+        flags = tuple(int(k > 0) for k in self.root_pairings(nu))
+        return AffineWeylElement(tuple(nu), self.W0.by_inverted[flags])
+
+    def root_pairings(self, nu: Vec):
+        """<alpha, nu> for each positive root alpha, in the order of the
+        inversion flags."""
+        return (sum(r * c for r, c in zip(row, nu)) for row in self._root_rows)
 
     def reduced_word(self, x: AffineWeylElement) -> tuple[tuple[int, ...], AffineWeylElement]:
         """Left-greedy reduced word; returns (word, omega) with
@@ -327,33 +348,18 @@ class AffineWeylGroup:
             y = self.mul_simple(y, i)
         return tuple(word), self.inverse(y)
 
-    # -- spherical double cosets ---------------------------------------
-
-    def spherical_double_coset(self, mu: Vec):
-        """The set W_0 t_mu W_0 with its minimal and maximal length
-        elements.  mu must be dominant.
-
-        Since u t_mu v = t_{u mu} uv, the double coset is
-        {t_nu w : nu in W_0 mu, w in W_0}."""
-        mu = rdm.assert_dominant(self.rd, mu)
-        if mu in self._dc_cache:
-            return self._dc_cache[mu]
-        coset = [AffineWeylElement(nu, w) for nu in self.orbit(mu) for w in self.W0.elements]
-        by_len = sorted(coset, key=lambda x: (self.im_length(x), x.translation, x.finite.word))
-        minimal, maximal = by_len[0], by_len[-1]
-        if len(by_len) > 1 and self.im_length(by_len[1]) == self.im_length(minimal):
-            raise WeylError("minimal double coset element is not unique")
-        result = (frozenset(coset), minimal, maximal)
-        self._dc_cache[mu] = result
-        return result
+    # -- W_0-orbits ------------------------------------------------------
 
     def dominant_representative(self, lam: Vec) -> Vec:
-        """The dominant W_0-orbit representative of a cocharacter."""
-        for w in self.W0.elements:
-            cand = w.apply_cochar(lam)
-            if rdm.is_dominant(self.rd, cand):
-                return cand
-        raise WeylError(f"no dominant conjugate found for {lam}")
+        """The dominant W_0-orbit representative of a cocharacter, u^-1 lam
+        for the u in W_0 whose inversion flags are [<alpha, lam> < 0].
+
+        That set is an inversion set, as in ``min_coset_length``.  For
+        alpha > 0, either u alpha = beta > 0, which u^-1 does not invert,
+        so <alpha, u^-1 lam> = <beta, lam> >= 0; or u alpha = -beta with
+        beta > 0 inverted, so <alpha, u^-1 lam> = -<beta, lam> > 0."""
+        flags = tuple(int(k < 0) for k in self.root_pairings(lam))
+        return self.W0.inverse(self.W0.by_inverted[flags]).apply_cochar(lam)
 
     def orbit(self, lam: Vec) -> frozenset:
         return frozenset(w.apply_cochar(lam) for w in self.W0.elements)

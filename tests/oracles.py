@@ -14,6 +14,10 @@ algorithm than the library uses, so agreement is meaningful:
   pi_1 off lattice indices);
 * reduced words by the left-greedy loop over affine products and lengths
   (the library takes one-root right descents of the inverse);
+* spherical double cosets by listing and sorting all of W_0 t_mu W_0, and
+  the spherical product c_mu * c_lam from the whole indicator 1_mu (the
+  library multiplies only the left-minimal elements of the double coset,
+  found in closed form);
 * lattice indices by brute-force coset enumeration, with membership
   decided by Cramer's rule over Leibniz determinants (the library uses
   Hermite normal forms and Bareiss elimination).
@@ -26,10 +30,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from satake import root_datum as rdm
+from satake.hecke import HeckeError
 from satake.lattices import vadd, vscale, vsub, zero_vec
-from satake.laurent import LaurentPoly
+from satake.laurent import ONE, LaurentPoly
 from satake.linear import LinComb
 from satake.rep_ring import g1_class
 from satake.root_datum import RootDatum
@@ -169,6 +175,58 @@ def omega_elements(W, box: int = 2) -> list[AffineWeylElement]:
             if W.im_length(x) == 0:
                 out.append(x)
     return sorted(out, key=lambda x: (x.translation, x.finite.word))
+
+
+@lru_cache(maxsize=None)
+def spherical_double_coset(W, mu):
+    """(the set W_0 t_mu W_0, its minimal element, its maximal element) for
+    a dominant mu of the affine group W, by sorting the whole double coset
+    by length.  Since u t_mu v = t_{u mu} uv, the double coset is
+    {t_nu w : nu in W_0 mu, w in W_0}."""
+    mu = rdm.assert_dominant(W.rd, mu)
+    coset = [AffineWeylElement(nu, w) for nu in W.orbit(mu) for w in W.W0.elements]
+    by_len = sorted(coset, key=lambda x: (W.im_length(x), x.translation, x.finite.word))
+    minimal, maximal = by_len[0], by_len[-1]
+    if len(by_len) > 1 and W.im_length(by_len[1]) == W.im_length(minimal):
+        raise AssertionError("minimal double coset element is not unique")
+    return frozenset(coset), minimal, maximal
+
+
+def indicator_from_iwahori(sph, mu) -> LinComb:
+    """The bi-invariant indicator 1_mu of the SphericalHecke sph: the sum
+    of T_w over the whole double coset W_0 t_mu W_0."""
+    coset, _, _ = spherical_double_coset(sph.W, mu)
+    return LinComb((x, ONE) for x in coset)
+
+
+def projected_c_mul(sph, mu, lam) -> LinComb:
+    """c_mu * c_lam as (1_mu T_x 1_W0) / P_{W_x}(q), x the minimal element
+    of W_0 t_lam W_0 and W_x the stabiliser of lam in W_0, from the whole
+    indicator 1_mu.  1_mu T_x is projected onto the right cosets t_nu W_0:
+    its value on t_nu W_0 is c_nu = sum_w q^(l(t_nu w) - m(nu)) b_{t_nu w},
+    m(nu) the minimal length in the coset.  The values must fill every
+    W_0-orbit, be constant on it and divide exactly by P_{W_x}; any
+    failure raises."""
+    W = sph.W
+    _, x, _ = spherical_double_coset(W, lam)
+    b = sph.iwahori.mul(indicator_from_iwahori(sph, mu), sph.iwahori.basis(x))
+    m = {nu: W.min_coset_length(nu) for nu in {y.translation for y in b.keys()}}
+    c = LinComb((y.translation, p.shift(W.im_length(y) - m[y.translation]))
+                for y, p in b.items())
+    pwx = LaurentPoly((w.length, 1) for w in W.W0.elements
+                      if w.apply_cochar(x.translation) == x.translation)
+    by_orbit: dict = {}
+    for nu, p in c.items():
+        by_orbit.setdefault(W.dominant_representative(nu), {})[nu] = p
+    out = []
+    for nu, coeffs in sorted(by_orbit.items()):
+        if set(coeffs) != W.orbit(nu):
+            raise HeckeError(f"product support does not fill the double coset of {nu}")
+        values = set(coeffs.values())
+        if len(values) != 1:
+            raise HeckeError(f"product is not bi-invariant on the double coset of {nu}")
+        out.append((nu, values.pop().divexact(pwx)))
+    return LinComb(out)
 
 
 def left_greedy_word(W, x, memo=None):

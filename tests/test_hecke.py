@@ -16,7 +16,9 @@ from satake.rep_ring import G1RepClass
 from satake.verify import dominant_pairs
 from satake.weyl import AffineWeylGroup, affine_weyl_group
 
-from oracles import from_finite, poincare_polynomial
+from oracles import (from_finite, indicator_from_iwahori, poincare_polynomial, projected_c_mul,
+                     spherical_double_coset)
+from test_acceptance import CROSS_PATH_CELLS
 from test_weyl import random_element
 
 
@@ -126,17 +128,44 @@ class TestWorkCounts:
         iw = sph.iwahori
         rng = random.Random(43)
         mu = rdm.dominant_reps(rd, 4)[-1]
-        a = sph.indicator_from_iwahori(mu)
+        a = indicator_from_iwahori(sph, mu)
         b = LinComb((random_element(iw.W, rng), ONE) for _ in range(5))
         counts.update(im_length=0)
         iw.mul(a, b)
         assert counts["im_length"] == len(a) + len(b)
 
+    @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_c_mul_multiplies_the_left_minimal_elements_once(self, counts, monkeypatch, name):
+        """One IwahoriHecke.mul per uncached product, with a left factor of
+        |W_0 mu| keys; the only lengths measured are those of the factors'
+        and the product's keys, so no double coset is enumerated."""
+        calls = []
+        mul = IwahoriHecke.mul
+
+        def recorded_mul(iw, a, b):
+            out = mul(iw, a, b)
+            calls.append((len(a), len(b), len(out)))
+            return out
+
+        monkeypatch.setattr(IwahoriHecke, "mul", recorded_mul)
+        rd = catalog(name)
+        sph = SphericalHecke(rd)
+        for mu, lam in dominant_pairs(rd, 6):
+            calls.clear()
+            counts.update(im_length=0)
+            sph.c_mul_iwahori(mu, lam)
+            ((left, right, out),) = calls
+            assert left == len(sph.W.orbit(mu)) and right == 1, (mu, lam)
+            assert counts["im_length"] == left + right + out, (mu, lam, counts)
+            calls.clear()
+            sph.c_mul_iwahori(mu, lam)
+            assert calls == []
+
     @pytest.mark.parametrize("name", ["SL(3)", "Sp(4)*SL(2)"])
     def test_simple_step_forms_no_matrix_product(self, counts, name):
         rd = catalog(name)
         sph = SphericalHecke(rd)
-        a = sph.indicator_from_iwahori(rdm.dominant_reps(rd, 4)[-1])
+        a = indicator_from_iwahori(sph, rdm.dominant_reps(rd, 4)[-1])
         counts.update(mat_vec=0)
         for i in range(len(sph.W.simple_refs)):
             sph.iwahori._mul_simple_right(a, i)
@@ -179,7 +208,7 @@ class TestIndicators:
     def test_zero_indicator_is_finite_sum(self):
         rd = catalog("SL(3)")
         sph = SphericalHecke(rd)
-        ind = sph.indicator_from_iwahori((0, 0))
+        ind = indicator_from_iwahori(sph, (0, 0))
         W = affine_weyl_group(rd)
         assert ind == LinComb((from_finite(W, w), ONE) for w in W.W0.elements)
 
@@ -187,8 +216,8 @@ class TestIndicators:
         rd = catalog("GL(2)")
         sph = SphericalHecke(rd)
         for mu in rdm.dominant_reps(rd, 4):
-            coset, _, maximal = sph.W.spherical_double_coset(mu)
-            ind = sph.indicator_from_iwahori(mu)
+            coset, _, maximal = spherical_double_coset(sph.W, mu)
+            ind = indicator_from_iwahori(sph, mu)
             assert ind.coefficient(maximal) == ONE
             assert ind.support() == coset
 
@@ -244,13 +273,13 @@ class TestSphericalProducts:
 def textbook_c_mul(sph, mu, lam):
     """c_mu * c_lam from the whole indicators: 1_mu 1_lam, grouped by
     double coset, with one value per coset divided exactly by P_{W_0}."""
-    prod = sph.iwahori.mul(sph.indicator_from_iwahori(mu), sph.indicator_from_iwahori(lam))
+    prod = sph.iwahori.mul(indicator_from_iwahori(sph, mu), indicator_from_iwahori(sph, lam))
     by_coset = {}
     for y, p in prod.items():
         by_coset.setdefault(sph.W.dominant_representative(y.translation), {})[y] = p
     out = []
     for nu, coeffs in by_coset.items():
-        assert set(coeffs) == sph.W.spherical_double_coset(nu)[0]
+        assert set(coeffs) == spherical_double_coset(sph.W, nu)[0]
         values = set(coeffs.values())
         assert len(values) == 1
         out.append((nu, values.pop().divexact(poincare_polynomial(sph))))
@@ -270,8 +299,56 @@ class TestReduction:
             assert sph.c_mul_iwahori(mu, lam) == textbook_c_mul(sph, mu, lam), (mu, lam)
 
 
+class TestClosedForms:
+    """Z_mu and P_{W_nu} come from inversion flags; here they are compared
+    with scans of the double coset and of W_0 (x is compared in
+    test_weyl)."""
+
+    @pytest.mark.parametrize("name", ["GL(3)", "PGL(3)", "GL(4)", "GL(5)", "SO(5)", "Sp(4)*SL(2)"])
+    def test_left_minimal_sum_is_the_scanned_left_minimal_set(self, name):
+        rd = catalog(name)
+        sph = SphericalHecke(rd)
+        W = sph.W
+        for mu in rdm.dominant_reps(rd, 6):
+            coset, _, _ = spherical_double_coset(W, mu)
+            # the shortest element of each left coset W_0 z
+            shortest = {}
+            for y in coset:
+                left_coset = frozenset(W.mul(from_finite(W, u), y) for u in W.W0.elements)
+                if left_coset not in shortest or W.im_length(y) < W.im_length(shortest[left_coset]):
+                    shortest[left_coset] = y
+            z_mu = sph.left_minimal_sum(mu)
+            assert z_mu == LinComb((z, ONE) for z in shortest.values()), (name, mu)
+            assert len(z_mu) == len(W.orbit(mu))
+
+    @pytest.mark.parametrize("name", ["GL(3)", "SO(5)", "Sp(4)*SL(2)", "GL(4)"])
+    def test_stabiliser_polynomial_is_the_scanned_one(self, name):
+        rd = catalog(name)
+        sph = SphericalHecke(rd)
+        assert sph.stabiliser_polynomial(tuple([0] * rd.rank)) == poincare_polynomial(sph)
+        for mu in rdm.dominant_reps(rd, 6):
+            assert sph.stabiliser_polynomial(mu) == LaurentPoly(
+                (w.length, 1) for w in sph.W.W0.elements if w.apply_cochar(mu) == mu)
+
+
+class TestAgainstTheWholeIndicator:
+    """c_mul_iwahori against the projection of 1_mu T_x (the oracle that
+    multiplies the whole indicator) on every cross-path pair."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("name, dmax", CROSS_PATH_CELLS)
+    def test_matches_the_projected_whole_indicator(self, name, dmax, signed):
+        sph = SphericalHecke(catalog(name), signed_trace=signed)
+        pairs = list(dominant_pairs(sph.rd, dmax))
+        assert pairs
+        for mu, lam in pairs:
+            assert sph.c_mul_iwahori(mu, lam) == projected_c_mul(sph, mu, lam), (mu, lam)
+
+
 class TestBiInvarianceGuards:
-    """Each guard of c_mul_iwahori fires when 1_mu T_x is corrupted."""
+    """Each guard of c_mul_iwahori fires when b = Z_mu T_x is corrupted:
+    the exact division by P_{W_lam} catches a value off the lattice, and
+    the q = 1 mass identity catches what every division lets through."""
 
     @staticmethod
     def corrupted(monkeypatch, name, perturb):
@@ -280,21 +357,23 @@ class TestBiInvarianceGuards:
         monkeypatch.setattr(sph.iwahori, "mul", lambda a, b: perturb(sph.W, mul(a, b)))
         return sph
 
-    def test_support_must_fill_orbits(self, monkeypatch):
-        sph = self.corrupted(monkeypatch, "SL(3)", lambda W, b: LinComb(
-            (y, p) for y, p in b.items() if y.translation != (1, 1)))
-        with pytest.raises(HeckeError, match="does not fill"):
-            sph.c_mul_iwahori((1, 1), (0, 0))
-
-    def test_values_must_be_constant_on_orbits(self, monkeypatch):
+    def test_values_must_divide_by_stabiliser_polynomial(self, monkeypatch):
         sph = self.corrupted(monkeypatch, "SL(3)",
                              lambda W, b: b + LinComb.unit(W.translation((1, 1))))
-        with pytest.raises(HeckeError, match="not bi-invariant"):
+        with pytest.raises(HeckeError, match="inexact division"):
             sph.c_mul_iwahori((1, 1), (0, 0))
 
-    def test_values_must_divide_by_stabiliser_polynomial(self, monkeypatch):
+    def test_mass_must_match_orbit_sizes(self, monkeypatch):
+        # a whole double coset missing from b leaves every value divisible
+        sph = self.corrupted(monkeypatch, "SL(3)", lambda W, b: LinComb(
+            (y, p) for y, p in b.items() if W.dominant_representative(y.translation) != (2, 2)))
+        with pytest.raises(HeckeError, match="product mass at q = 1 is 30, not .* = 36"):
+            sph.c_mul_iwahori((1, 1), (1, 1))
+
+    def test_mass_counts_every_term(self, monkeypatch):
+        # 2 T_e divides exactly by P_{W_0}, but counts twice
         sph = self.corrupted(monkeypatch, "SL(3)", lambda W, b: b + LinComb.unit(W.identity))
-        with pytest.raises(HeckeError, match="inexact division"):
+        with pytest.raises(HeckeError, match="product mass at q = 1 is 2, not .* = 1"):
             sph.c_mul_iwahori((0, 0), (0, 0))
 
 

@@ -63,24 +63,36 @@ DUAL_PATH_NAMES = {"k0", "g1", "rep_ring", "convolve", "c_mul_satake",
                    "to_ic_basis", "from_ic_basis", "ic_expansion", "_ic_expansion_cache"}
 
 
+def self_attributes(fn):
+    """Names of the attributes of ``self`` that a method reads."""
+    return {node.attr for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
 def iwahori_path_bodies():
     """(qualified name, AST) of every IwahoriHecke method and of the
-    Iwahori-path methods of SphericalHecke."""
+    Iwahori-path methods of SphericalHecke: those that read
+    ``self.iwahori``, and every method those reach through ``self``."""
     path = next(p for p in MODULES if p.name == "hecke.py")
     tree = ast.parse(path.read_text(), filename=str(path))
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef) and cls.name in ("IwahoriHecke", "SphericalHecke"):
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and (
-                        cls.name == "IwahoriHecke"
-                        or fn.name in ("c_mul_iwahori", "indicator_from_iwahori")):
-                    yield f"{cls.name}.{fn.name}", fn
+    classes = {cls.name: {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+               for cls in tree.body if isinstance(cls, ast.ClassDef)}
+    yield from ((f"IwahoriHecke.{name}", fn) for name, fn in classes["IwahoriHecke"].items())
+    methods = classes["SphericalHecke"]
+    path_names = {name for name, fn in methods.items() if "iwahori" in self_attributes(fn)}
+    frontier = set(path_names)
+    while frontier:
+        reached = set().union(*(self_attributes(methods[name]) for name in frontier)) & set(methods)
+        frontier = reached - path_names
+        path_names |= frontier
+    yield from ((f"SphericalHecke.{name}", methods[name]) for name in sorted(path_names))
 
 
 def test_iwahori_path_shares_nothing_with_the_dual_path():
     bodies = dict(iwahori_path_bodies())
     assert {"IwahoriHecke.mul", "SphericalHecke.c_mul_iwahori",
-            "SphericalHecke.indicator_from_iwahori"} <= set(bodies)
+            "SphericalHecke.left_minimal_sum", "SphericalHecke.stabiliser_polynomial"} <= set(bodies)
     for name, fn in bodies.items():
         used = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
         used |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}

@@ -9,7 +9,7 @@ import satake.root_datum as rdm
 from satake import catalog
 from satake.weyl import AffineWeylElement, affine_weyl_group, finite_weyl_group
 
-from oracles import from_finite, left_greedy_word, omega_elements
+from oracles import from_finite, left_greedy_word, omega_elements, spherical_double_coset
 
 
 def random_element(W, rng, max_length=6):
@@ -248,7 +248,7 @@ class TestDoubleCosets:
     def test_zero_coset_is_finite_weyl_group(self):
         rd = catalog("SL(3)")
         W = affine_weyl_group(rd)
-        coset, minimal, maximal = W.spherical_double_coset((0, 0))
+        coset, minimal, maximal = spherical_double_coset(W, (0, 0))
         assert coset == frozenset(from_finite(W, w) for w in W.W0.elements)
         assert minimal == W.identity
         assert maximal == from_finite(W, W.W0.longest())
@@ -266,12 +266,12 @@ class TestDoubleCosets:
             lengths = sorted(W.im_length(x) for x in expected)
             (shortest,) = [x for x in expected if W.im_length(x) == lengths[0]]
             (longest,) = [x for x in expected if W.im_length(x) == lengths[-1]]
-            assert W.spherical_double_coset(mu) == (frozenset(expected), shortest, longest)
+            assert spherical_double_coset(W, mu) == (frozenset(expected), shortest, longest)
 
     def test_gl2_minuscule_coset(self):
         rd = catalog("GL(2)")
         W = affine_weyl_group(rd)
-        coset, minimal, maximal = W.spherical_double_coset((1, 0))
+        coset, minimal, maximal = spherical_double_coset(W, (1, 0))
         assert len(coset) == 4
         assert W.im_length(minimal) == 0
         assert W.im_length(maximal) == rdm.d_pairing(rd, (1, 0)) + W.W0.longest().length
@@ -285,8 +285,31 @@ class TestDoubleCosets:
             regular = all(rd.pair(a, mu) > 0 for a in rd.simple_roots)
             if not regular:
                 continue
-            _, _, maximal = W.spherical_double_coset(mu)
+            _, _, maximal = spherical_double_coset(W, mu)
             assert W.im_length(maximal) == rdm.d_pairing(rd, mu) + l0
+
+    @pytest.mark.parametrize("name", ["GL(3)", "PGL(3)", "GL(4)", "SO(5)", "Sp(4)*SL(2)"])
+    def test_min_coset_element_is_the_scanned_minimum(self, name):
+        rd = catalog(name)
+        W = affine_weyl_group(rd)
+        for mu in rdm.dominant_reps(rd, 4):
+            _, minimal, _ = spherical_double_coset(W, mu)
+            assert W.min_coset_element(mu) == minimal
+            for nu in W.orbit(mu):
+                scanned = min((AffineWeylElement(nu, w) for w in W.W0.elements),
+                              key=W.im_length)
+                assert W.min_coset_element(nu) == scanned
+                assert W.im_length(scanned) == W.min_coset_length(nu)
+
+    @pytest.mark.parametrize("name", ["GL(3)", "PGL(3)", "GL(4)", "SO(5)", "Sp(4)*SL(2)"])
+    def test_dominant_representative_is_the_scanned_one(self, name):
+        rd = catalog(name)
+        W = affine_weyl_group(rd)
+        for mu in rdm.dominant_reps(rd, 6):
+            for nu in W.orbit(mu):
+                (scanned,) = {w.apply_cochar(nu) for w in W.W0.elements
+                              if rdm.is_dominant(rd, w.apply_cochar(nu))}
+                assert W.dominant_representative(nu) == scanned == mu
 
     def test_dominant_representative(self):
         rd = catalog("Sp(4)")
