@@ -60,23 +60,33 @@ class SatakeK0:
 
     # -- convolution ---------------------------------------------------
 
-    def convolve_ic(self, a: ICClass, b: ICClass) -> LinComb:
-        """Convolution of basis classes.  Each tensor constituent nu gets
-        the unique Tate twist forced by purity-weight additivity."""
+    def _constituents(self, a: ICClass, b: ICClass):
+        """(class, multiplicity) for each tensor constituent nu of a * b,
+        with the unique Tate twist forced by purity-weight additivity."""
         rd = self.rd
-        d_a = rdm.d_pairing(rd, a.mu)
-        d_b = rdm.d_pairing(rd, b.mu)
-        out = []
+        d_ab = rdm.d_pairing(rd, a.mu) + rdm.d_pairing(rd, b.mu)
+        n_ab = a.n + b.n
         for nu, mult in self.R.tensor_decompose(a.mu, b.mu).items():
-            offset = rdm.d_pairing(rd, nu) - d_a - d_b
+            offset = rdm.d_pairing(rd, nu) - d_ab
             if offset % 2 != 0:
                 raise K0Error(f"non-integral twist for constituent {nu}")
-            cls = ICClass(nu, a.n + b.n + offset // 2)
-            out.append((cls, LaurentPoly.const(mult)))
-        return LinComb(out)
+            yield ICClass(nu, n_ab + offset // 2), mult
+
+    def convolve_ic(self, a: ICClass, b: ICClass) -> LinComb:
+        """Convolution of basis classes."""
+        return LinComb((cls, LaurentPoly.const(mult)) for cls, mult in self._constituents(a, b))
 
     def convolve(self, x: LinComb, y: LinComb) -> LinComb:
-        return x.bilinear(y, self.convolve_ic)
+        """Convolution extended bilinearly; each coefficient product is
+        formed once per pair of classes and scaled by the multiplicities."""
+        def terms():
+            for a, p in x.items():
+                for b, r in y.items():
+                    pr = p * r
+                    for cls, mult in self._constituents(a, b):
+                        yield cls, pr.scale(mult)
+
+        return LinComb(terms())
 
     # -- stalk polynomials and the trace map ---------------------------
 

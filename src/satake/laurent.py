@@ -30,6 +30,19 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    @classmethod
+    def _canonical(cls, terms: tuple[tuple[int, int], ...]) -> "LaurentPoly":
+        """Wrap terms already in canonical form (int exponents strictly
+        increasing, nonzero int coefficients) without checking them."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_terms", terms)
+        return p
+
+    @classmethod
+    def _from_dict(cls, acc: dict[int, int]) -> "LaurentPoly":
+        """The polynomial of an {exponent: coefficient} accumulator of ints."""
+        return cls._canonical(tuple(sorted(t for t in acc.items() if t[1])))
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -76,10 +89,13 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(self._terms + other._terms)
+        acc = dict(self._terms)
+        for e, c in other._terms:
+            acc[e] = acc.get(e, 0) + c
+        return LaurentPoly._from_dict(acc)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self._terms))
+        return LaurentPoly._canonical(tuple((e, -c) for e, c in self._terms))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -90,18 +106,24 @@ class LaurentPoly:
             for e2, c2 in other._terms:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(acc.items())
+        return LaurentPoly._from_dict(acc)
 
     def scale(self, n: int) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, n * c) for e, c in self._terms))
+        if not isinstance(n, int):
+            raise TypeError("scale factor must be int")
+        if n == 0:
+            return ZERO
+        return LaurentPoly._canonical(tuple((e, n * c) for e, c in self._terms))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k."""
-        return LaurentPoly(tuple((e + k, c) for e, c in self._terms))
+        if not isinstance(k, int):
+            raise TypeError("shift must be int")
+        return LaurentPoly._canonical(tuple((e + k, c) for e, c in self._terms))
 
     def bar(self) -> "LaurentPoly":
         """Substitute q -> q^-1."""
-        return LaurentPoly(tuple((-e, c) for e, c in self._terms))
+        return LaurentPoly._canonical(tuple((-e, c) for e, c in reversed(self._terms)))
 
     def eval_at_one(self) -> int:
         return sum(c for _, c in self._terms)

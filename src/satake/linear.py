@@ -4,9 +4,11 @@ A ``LinComb`` is a finitely supported map from hashable basis keys to
 ``LaurentPoly`` scalars.  Zero scalars are never stored, so equality is
 key-wise exact equality.
 
-Build sums by passing a term stream to the constructor: ``LinComb`` and
-``LaurentPoly`` merge repeated keys as the terms arrive, so a sum is one
-call over a generator of ``(key, scalar)`` pairs, never a loop of ``+``.
+Build sums by passing a term stream to the constructor, never by a loop
+of ``+``: a sum is one call over a generator of ``(key, scalar)`` pairs.
+The constructor keeps the first scalar of a key as it is; a repeated key
+is merged into one ``{exponent: coefficient}`` integer dict, and each
+merged polynomial is built once, when the stream ends.
 """
 from __future__ import annotations
 
@@ -25,15 +27,25 @@ class LinComb:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[tuple[Hashable, LaurentPoly]] = ()):
+        # a value is the key's only scalar so far, or the dict of its sum
         acc: dict = {}
         for k, p in coeffs:
             if not isinstance(p, LaurentPoly):
                 raise TypeError("scalars must be LaurentPoly")
-            if k in acc:
-                acc[k] = acc[k] + p
-            else:
+            prev = acc.get(k)
+            if prev is None:
                 acc[k] = p
-        object.__setattr__(self, "_coeffs", {k: p for k, p in acc.items() if not p.is_zero()})
+                continue
+            if type(prev) is not dict:
+                prev = acc[k] = dict(prev.terms)
+            for e, c in p.terms:
+                prev[e] = prev.get(e, 0) + c
+        out = {}
+        for k, v in acc.items():
+            p = LaurentPoly._from_dict(v) if type(v) is dict else v
+            if p:
+                out[k] = p
+        object.__setattr__(self, "_coeffs", out)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinComb is immutable")

@@ -129,40 +129,58 @@ class RepRing:
 
     def tensor_decompose(self, mu: Vec, lam: Vec) -> dict[Vec, int]:
         """Decomposition multiplicities of the tensor product of the two
-        irreducibles, by character product and greedy highest-weight
-        extraction."""
+        irreducibles, by Brauer-Klimyk.  Each weight v of the smaller
+        factor's character gives 2(big + v) + 2rho_hat, big the larger
+        highest weight; that vector is straightened into the dominant
+        chamber by simple reflections, and the constituent it lands on
+        gains or loses the multiplicity of v by the parity of the
+        reflections.  Vectors on a reflecting hyperplane contribute
+        nothing.  The result is ordered by decreasing (<2rho, nu>, nu)
+        and cached under both orders of the factors."""
         cached = self._tensor_cache.get((tuple(mu), tuple(lam)))
         if cached is not None:
             return cached
-        mu = rdm.assert_dominant(self.rd, mu)
-        lam = rdm.assert_dominant(self.rd, lam)
-        key = (mu, lam)
-        prod: dict[Vec, int] = {}
-        for v1, m1 in self.character(mu).items():
-            for v2, m2 in self.character(lam).items():
-                v = vadd(v1, v2)
-                prod[v] = prod.get(v, 0) + m1 * m2
+        rd = self.rd
+        mu = rdm.assert_dominant(rd, mu)
+        lam = rdm.assert_dominant(rd, lam)
+        small, big = sorted((mu, lam), key=lambda v: (rdm.d_pairing(rd, v), v))
+        two_rho_hat = rd.two_rho_hat()
+        base = vadd(lattices.vscale(2, big), two_rho_hat)
+        net: dict[Vec, int] = {}
+        for v, m in self.character(small).items():
+            hit = _straighten(rd, vadd(base, lattices.vscale(2, v)))
+            if hit is not None:
+                x, odd = hit
+                nu = tuple((c - r) // 2 for c, r in zip(x, two_rho_hat))
+                net[nu] = net.get(nu, 0) + (-m if odd else m)
         result: dict[Vec, int] = {}
-        # a weight of maximal <2rho, -> value is dominance-maximal, hence a
-        # highest weight of some constituent; extraction only lowers or
-        # removes entries, so one pass in decreasing order meets them all
-        for nu in sorted(prod, key=lambda v: (rdm.d_pairing(self.rd, v), v), reverse=True):
-            n = prod.get(nu)
-            if n is None:
-                continue
-            if n <= 0 or not rdm.is_dominant(self.rd, nu):
-                raise RepRingError(f"greedy extraction failed at {nu} (mult {n})")
-            for v, m in self.character(nu).items():
-                rem = prod.get(v, 0) - n * m
-                if rem < 0:
-                    raise RepRingError(f"negative remainder at {v} in tensor product")
-                if rem == 0:
-                    prod.pop(v, None)
-                else:
-                    prod[v] = rem
-            result[nu] = n
-        self._tensor_cache[key] = result
+        for nu in sorted(net, key=lambda v: (rdm.d_pairing(rd, v), v), reverse=True):
+            n = net[nu]
+            if n < 0:
+                raise RepRingError(f"negative multiplicity {n} of {nu} in tensor product")
+            if n:
+                result[nu] = n
+        self._tensor_cache[(mu, lam)] = self._tensor_cache[(lam, mu)] = result
         return result
+
+
+def _straighten(rd: RootDatum, x: Vec) -> tuple[Vec, bool] | None:
+    """(the dominant W_0-conjugate of x, whether it took an odd number of
+    simple reflections), or None if x lies on a reflecting hyperplane.
+    Each step reflects in a simple root pairing negatively with x, which
+    leaves x on a hyperplane exactly when it started on one."""
+    odd = False
+    while True:
+        for row, coroot in zip(rd.simple_root_rows, rd.simple_coroots):
+            p = sum(r * c for r, c in zip(row, x))
+            if p <= 0:
+                break
+        else:
+            return x, odd
+        if p == 0:
+            return None
+        x = tuple(c - p * a for c, a in zip(x, coroot))
+        odd = not odd
 
 
 @lru_cache(maxsize=None)

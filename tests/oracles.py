@@ -5,9 +5,12 @@ algorithm than the library uses, so agreement is meaningful:
 
 * weight multiplicities by the Freudenthal recursion (the library uses
   Kostant's alternating sum over the q-Kostant partition function);
-* tensor multiplicities by the Brauer-Klimyk reflection algorithm fed by
-  Freudenthal multiplicities (the library uses character products with
-  greedy highest-weight extraction);
+* tensor multiplicities by the full character product with greedy
+  highest-weight extraction (the library runs Brauer-Klimyk over the
+  smaller factor's character alone), and by Brauer-Klimyk fed by
+  Freudenthal multiplicities and a search of W_0 for the dominant
+  conjugate (the library straightens by simple reflections, on
+  characters from Kostant's formula);
 * partition counts by literal multiset enumeration;
 * length-zero elements of the extended affine Weyl group by exhaustive
   search of a box, counted by the tests against pi_1 (the library reads
@@ -135,6 +138,35 @@ def tensor_oracle(rd: RootDatum, mu, lam, freud: FreudenthalOracle | None = None
             out[hi] = out.get(hi, 0) + (m if w.length % 2 == 0 else -m)
     result = {k: v for k, v in out.items() if v}
     assert all(v > 0 for v in result.values())
+    return result
+
+
+def greedy_tensor_decompose(R, mu, lam) -> dict:
+    """Tensor multiplicities of the RepRing R from the product of the two
+    full characters: a weight of maximal <2rho, -> value is
+    dominance-maximal, hence the highest weight of a constituent, whose
+    character is peeled off; peeling only lowers or removes entries, so
+    one pass in decreasing order meets every constituent."""
+    rd = R.rd
+    prod: dict[tuple, int] = {}
+    for v1, m1 in R.character(mu).items():
+        for v2, m2 in R.character(lam).items():
+            v = vadd(v1, v2)
+            prod[v] = prod.get(v, 0) + m1 * m2
+    result = {}
+    for nu in sorted(prod, key=lambda v: (rdm.d_pairing(rd, v), v), reverse=True):
+        n = prod.get(nu)
+        if n is None:
+            continue
+        assert n > 0 and rdm.is_dominant(rd, nu), (nu, n)
+        for v, m in R.character(nu).items():
+            rem = prod.get(v, 0) - n * m
+            assert rem >= 0, (v, rem)
+            if rem:
+                prod[v] = rem
+            else:
+                prod.pop(v, None)
+        result[nu] = n
     return result
 
 

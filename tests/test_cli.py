@@ -155,6 +155,11 @@ class TestVerify:
         assert "FAIL" not in out
         assert "cross-path oracle equality" in out
 
+    def test_torus_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--group", "torus(1)", "--bound", "4")
+        assert code == 0
+        assert "FAIL" not in out
+
     def test_bound_zero_vacuous(self, capsys):
         code, out, _ = run(capsys, "verify", "--group", "SL(3)", "--bound", "0")
         assert code == 0

@@ -263,6 +263,12 @@ class TestSphericalProducts:
                 # factors may vanish at q = 1
                 assert p.eval_at_one() >= 0
 
+    def test_torus_products_are_translations(self):
+        sph = SphericalHecke(catalog("torus(1)"))
+        for a, b in itertools.product(range(-3, 4), repeat=2):
+            assert sph.c_mul_satake((a,), (b,)) == sph.c((a + b,)) == \
+                sph.c_mul_iwahori((a,), (b,))
+
     def test_signed_convention_cross_path(self):
         rd = catalog("PGL(2)")
         sph = SphericalHecke(rd, signed_trace=True)

@@ -194,3 +194,37 @@ def test_ic_class_validation():
 
 def test_repr():
     assert repr(ICClass((2, 0), -1)) == "IC[2,0](-1)"
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("name", ["GL(2)", "SL(3)", "Sp(4)"])
+    def test_convolve_builds_no_per_pair_combination(self, monkeypatch, name):
+        """convolve equals the bilinear extension of convolve_ic, yet calls
+        neither convolve_ic nor LinComb.bilinear."""
+        rd = catalog(name)
+        k0 = SatakeK0(rd)
+        rng = random.Random(23)
+        reps = rdm.dominant_reps(rd, 4)
+
+        def element():
+            return LinComb((ICClass(rng.choice(reps), rng.randrange(-1, 2)),
+                            P((rng.randrange(-2, 3), rng.randrange(1, 4)))) for _ in range(3))
+
+        cases = [(x, y, x.bilinear(y, k0.convolve_ic))
+                 for x, y in ((element(), element()) for _ in range(5))]
+        counts = {"convolve_ic": 0, "bilinear": 0}
+        convolve_ic, bilinear = SatakeK0.convolve_ic, LinComb.bilinear
+
+        def counted_convolve_ic(self, a, b):
+            counts["convolve_ic"] += 1
+            return convolve_ic(self, a, b)
+
+        def counted_bilinear(self, other, key_mul):
+            counts["bilinear"] += 1
+            return bilinear(self, other, key_mul)
+
+        monkeypatch.setattr(SatakeK0, "convolve_ic", counted_convolve_ic)
+        monkeypatch.setattr(LinComb, "bilinear", counted_bilinear)
+        for x, y, expected in cases:
+            assert k0.convolve(x, y) == expected
+        assert counts == {"convolve_ic": 0, "bilinear": 0}

@@ -123,3 +123,36 @@ class TestRendering:
     @given(polys)
     def test_json_roundtrip(self, a):
         assert LaurentPoly((int(e), c) for e, c in a.to_json().items()) == a
+
+
+class TestCanonicalResults:
+    """The arithmetic builds its results without the public constructor;
+    each must be exactly what the constructor builds from its terms."""
+
+    @given(polys, polys, st.integers(-10, 10))
+    def test_operations_match_the_public_constructor(self, a, b, n):
+        cases = [
+            (a.shift(n), [(e + n, c) for e, c in a.terms]),
+            (a.scale(n), [(e, n * c) for e, c in a.terms]),
+            (a.bar(), [(-e, c) for e, c in a.terms]),
+            (-a, [(e, -c) for e, c in a.terms]),
+            (a * b, [(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms]),
+            (a + b, list(a.terms) + list(b.terms)),
+        ]
+        for got, terms in cases:
+            expected = LaurentPoly(terms)
+            assert got == expected and hash(got) == hash(expected)
+            assert got.terms == LaurentPoly(got.terms).terms
+
+    @given(polys)
+    def test_scale_by_zero_is_zero(self, a):
+        assert a.scale(0).is_zero()
+        assert a.scale(0) == LaurentPoly.zero()
+
+    @pytest.mark.parametrize("bad", [1.0, "1", None])
+    def test_scale_and_shift_reject_non_int(self, bad):
+        for p in (P((0, 2), (1, 3)), LaurentPoly.zero()):
+            with pytest.raises(TypeError):
+                p.scale(bad)
+            with pytest.raises(TypeError):
+                p.shift(bad)

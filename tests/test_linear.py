@@ -1,6 +1,13 @@
-"""Free-module combinations with Laurent scalars: linearity contracts
-and the bilinear extension of key-level products."""
+"""Free-module combinations with Laurent scalars: linearity contracts,
+merging of repeated keys, and the bilinear extension of key-level
+products."""
+import pytest
+from hypothesis import given, strategies as st
+
 from satake import LaurentPoly, LinComb
+
+polys = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=3).map(
+    lambda d: LaurentPoly(d.items()))
 
 
 def C(n):
@@ -11,6 +18,25 @@ def test_zero_scalars_dropped():
     x = LinComb((("a", C(1)), ("a", C(-1))))
     assert x.is_zero()
     assert x == LinComb.zero()
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"), polys), max_size=12))
+def test_repeated_keys_sum_like_addition(pairs):
+    x = LinComb(pairs)
+    for key in "abc":
+        total = LaurentPoly.zero()
+        for k, p in pairs:
+            if k == key:
+                total = total + p
+        assert x.coefficient(key) == total
+        assert x.coefficient(key).terms == LaurentPoly(total.terms).terms
+    assert x.support() == {k for k, _ in pairs if x.coefficient(k)}
+
+
+def test_non_laurent_scalar_rejected():
+    for pairs in ((("a", 1),), (("a", C(1)), ("a", 1)), (("a", C(1)), ("a", C(2)), ("a", 1))):
+        with pytest.raises(TypeError):
+            LinComb(pairs)
 
 
 def test_add_identity():

@@ -1,7 +1,8 @@
 """Dual-side representation theory: the q-Kostant partition function,
 weight multiplicities against the Freudenthal oracle, tensor products
-against the Brauer-Klimyk oracle, q-analogs, and the twisted
-representation ring with its quotient."""
+against the Brauer-Klimyk oracle and against greedy peeling of the full
+character product, q-analogs, and the twisted representation ring with
+its quotient."""
 import itertools
 import random
 
@@ -10,10 +11,10 @@ import pytest
 import satake.root_datum as rdm
 from satake import LaurentPoly, LinComb, catalog, g1_class, g1_ring, rep_ring
 from satake.laurent import ONE, ZERO
-from satake.rep_ring import G1RepClass, RepRingError
+from satake.rep_ring import G1RepClass, RepRing, RepRingError
 
-from oracles import (FreudenthalOracle, class_element, partition_count_oracle, tensor_oracle,
-                     weyl_dim)
+from oracles import (FreudenthalOracle, class_element, greedy_tensor_decompose,
+                     partition_count_oracle, tensor_oracle, weyl_dim)
 
 
 def P(*terms):
@@ -143,6 +144,34 @@ class TestTensorDecompose:
         for mu, lam in itertools.product(reps, repeat=2):
             assert R.tensor_decompose(mu, lam) == tensor_oracle(rd, mu, lam, oracle)
 
+    @pytest.mark.parametrize("name, bound", [
+        ("PGL(2)", 6), ("GL(3)", 6), ("Sp(4)", 6), ("SO(5)", 6), ("Sp(4)*SL(2)", 4),
+        ("GL(4)", 4), ("torus(1)", 4)])
+    def test_against_greedy_peeling(self, name, bound):
+        # same constituents in the same order: decreasing (<2rho, nu>, nu)
+        rd = catalog(name)
+        R = rep_ring(rd)
+        if rd.semisimple_rank:
+            reps = rdm.dominant_reps(rd, bound)
+        else:
+            reps = [(k,) for k in range(-bound, bound + 1)]
+        for mu, lam in itertools.product(reps, repeat=2):
+            assert list(R.tensor_decompose(mu, lam).items()) == \
+                list(greedy_tensor_decompose(R, mu, lam).items()), (mu, lam)
+
+    def test_torus_weights_add(self):
+        R = rep_ring(catalog("torus(1)"))
+        for a, b in itertools.product(range(-3, 4), repeat=2):
+            assert R.tensor_decompose((a,), (b,)) == {(a + b,): 1}
+
+    def test_negative_net_multiplicity_raises(self):
+        # a corrupted character: 2((1) + (-3)) + 2rho_hat = -3 reflects
+        # once, onto 3, which is 2(1) + 2rho_hat, so V(1) gets net -1
+        R = RepRing(catalog("PGL(2)"))
+        R._char_cache[(1,)] = {(-3,): 1}
+        with pytest.raises(RepRingError, match="negative multiplicity"):
+            R.tensor_decompose((1,), (1,))
+
     @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
     def test_warm_caches_still_refuse_bad_weights(self, name):
         # weights are checked only when a cache misses: a bad weight never
@@ -158,6 +187,28 @@ class TestTensorDecompose:
                          lambda: R.tensor_decompose(bad, mu)):
                 with pytest.raises(rdm.RootDatumError):
                     call()
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_tensor_reads_only_the_smaller_character(self, monkeypatch, name):
+        calls = []
+        character = RepRing.character
+
+        def recorded_character(R, mu):
+            calls.append(tuple(mu))
+            return character(R, mu)
+
+        monkeypatch.setattr(RepRing, "character", recorded_character)
+        rd = catalog(name)
+        reps = rdm.dominant_reps(rd, 6)
+        small = min(reps[1:], key=lambda v: rdm.d_pairing(rd, v))
+        big = max(reps, key=lambda v: rdm.d_pairing(rd, v))
+        assert rdm.d_pairing(rd, small) < rdm.d_pairing(rd, big)
+        for mu, lam in ((small, big), (big, small)):
+            calls.clear()
+            RepRing(rd).tensor_decompose(mu, lam)
+            assert calls == [small], (mu, lam)
 
 
 class TestLusztigQAnalog:
