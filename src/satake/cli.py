@@ -19,7 +19,7 @@ from .linear import LinComb
 from .rep_ring import G1RepClass
 from .root_datum import RootDatumError, catalog
 from .verify import run_all
-from .weyl import render_affine
+from .weyl import WeylError, render_affine
 
 
 def _env(name: str, default):
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
         }[args.command]
         return handler(args)
-    except (RootDatumError, UsageError, KeyLengthError) as exc:
+    except (RootDatumError, UsageError, KeyLengthError, WeylError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -70,25 +70,26 @@ class IwahoriHecke:
         return LinComb(out)
 
     def mul(self, a: LinComb, b: LinComb) -> LinComb:
-        """Product computed by right-multiplying along the reduced word of
-        every key of b, then by its length-zero part.  Keys longer than
-        ``MAX_KEY_LENGTH`` are refused with ``KeyLengthError`` before any
-        product is formed; the lengths of b's keys are those of their
+        """Product computed, for every key x = omega * s_word of b
+        (``AffineWeylGroup.reduced_word``), by mapping a's keys w to
+        w omega, since T_w T_omega = T_{w omega} for omega of length
+        zero, and then right-multiplying along the word.  Keys longer
+        than ``MAX_KEY_LENGTH`` are refused with ``KeyLengthError`` before
+        any product is formed; the lengths of b's keys are those of their
         words."""
         W = self.W
         factors = [(W.reduced_word(x), p) for x, p in b.items()]
-        lengths = [W.im_length(x) for x in a.keys()] + [len(word) for (word, _), _ in factors]
+        lengths = [W.im_length(x) for x in a.keys()] + [len(word) for (_, word), _ in factors]
         if any(n > MAX_KEY_LENGTH for n in lengths):
             raise KeyLengthError(MAX_KEY_LENGTH)
 
         def terms():
-            for (word, omega), p in factors:
-                cur = a
+            for (omega, word), p in factors:
+                cur = a if omega == W.identity else LinComb((W.mul(w, omega), c) for w, c in a.items())
                 for i in word:
                     cur = self._mul_simple_right(cur, i)
-                trivial = omega == W.identity
                 for w, c in cur.items():
-                    yield (w if trivial else W.mul(w, omega)), c * p
+                    yield w, c * p
 
         return LinComb(terms())
 

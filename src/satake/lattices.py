@@ -25,10 +25,6 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def vscale(k: int, a: Vec) -> Vec:
     return tuple(k * x for x in a)
 

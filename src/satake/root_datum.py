@@ -28,9 +28,10 @@ class RootDatum:
 
     ``positive_root_coords[k]`` holds the simple-root coordinates of
     ``positive_roots[k]``, ``positive_coroot_coords[k]`` the simple-coroot
-    coordinates of ``positive_coroots[k]``, ``two_rho_row`` is the
-    functional <2rho, -> on X_* as an integer row, and
-    ``simple_root_rows[i]`` is <alpha_i, -> likewise; all four are derived
+    coordinates of ``positive_coroots[k]``, ``positive_root_rows[k]`` is
+    the functional <beta_k, -> on X_* as an integer row,
+    ``simple_root_rows[i]`` is <alpha_i, -> likewise and ``two_rho_row``
+    is <2rho, ->, the sum of the positive root rows; all five are derived
     from the other fields and take no part in equality or hashing.
     """
 
@@ -43,8 +44,9 @@ class RootDatum:
     positive_coroots: tuple[Vec, ...]
     positive_root_coords: tuple[Vec, ...] = field(compare=False)
     positive_coroot_coords: tuple[Vec, ...] = field(compare=False)
-    two_rho_row: Vec = field(compare=False)
+    positive_root_rows: tuple[Vec, ...] = field(compare=False)
     simple_root_rows: tuple[Vec, ...] = field(compare=False)
+    two_rho_row: Vec = field(compare=False)
 
     def pair(self, chi: Vec, lam: Vec) -> int:
         """The bilinear pairing <chi, lam> of a character with a cocharacter."""
@@ -63,8 +65,8 @@ class RootDatum:
         return lattices.combination((1,) * len(self.positive_coroots), self.positive_coroots, self.rank)
 
     def cartan_matrix(self) -> tuple[Vec, ...]:
-        return tuple(tuple(self.pair(a, bv) for bv in self.simple_coroots)
-                     for a in self.simple_roots)
+        """Rows <alpha_i, alpha_j^> over j, one per simple root alpha_i."""
+        return tuple(mat_vec(self.simple_coroots, row) for row in self.simple_root_rows)
 
     def to_json(self) -> str:
         doc = {
@@ -127,11 +129,12 @@ def make_root_datum(name, rank, pairing, simple_roots, simple_coroots) -> RootDa
         raise RootDatumError("simple roots and coroots must biject")
     pos_roots, pos_coroots, root_coords, coroot_coords = \
         _saturate_positives(pairing, simple_roots, simple_coroots)
-    two_rho = lattices.combination((1,) * len(pos_roots), pos_roots, rank)
     cols = lattices.transpose(pairing)
+    root_rows = tuple(mat_vec(cols, beta) for beta in pos_roots)
     rd = RootDatum(name, rank, pairing, simple_roots, simple_coroots, pos_roots, pos_coroots,
-                   root_coords, coroot_coords, mat_vec(cols, two_rho),
-                   tuple(mat_vec(cols, alpha) for alpha in simple_roots))
+                   root_coords, coroot_coords, root_rows,
+                   tuple(mat_vec(cols, alpha) for alpha in simple_roots),
+                   lattices.combination((1,) * len(root_rows), root_rows, rank))
     _validate(rd)
     return rd
 
@@ -387,7 +390,7 @@ def dominant_reps(rd: RootDatum, dmax: int) -> list[Vec]:
     weights = lattices.combination((1,) * len(rd.positive_roots), rd.positive_root_coords, n)
     # column j holds the pairings <alpha_i, e_j> of the simple roots with
     # the j-th basis vector of X_*
-    columns = tuple(mat_vec(rd.simple_roots, c) for c in lattices.transpose(rd.pairing))
+    columns = lattices.transpose(rd.simple_root_rows)
 
     out = []
 

@@ -10,7 +10,7 @@ import random
 from . import hecke, root_datum as rdm
 from .hecke import KeyLengthError, SphericalHecke
 from .k0 import ICClass, purity_weight
-from .lattices import Vec, vadd, vscale, zero_vec
+from .lattices import Vec, mat_vec, vadd, vscale, zero_vec
 from .laurent import LaurentPoly
 from .linear import LinComb
 from .root_datum import RootDatum, RootDatumError, catalog
@@ -122,10 +122,10 @@ def suite_specialization(sph: SphericalHecke, dmax: int) -> Result:
     R = sph.k0.R
     rd = sph.rd
     two_rho_hat = rd.two_rho_hat()
-    denom = math.prod(rd.pair(a, two_rho_hat) for a in rd.positive_roots)
+    denom = math.prod(mat_vec(rd.positive_root_rows, two_rho_hat))
     for mu in rdm.dominant_reps(rd, dmax):
         shifted = vadd(vscale(2, mu), two_rho_hat)
-        dim, rem = divmod(math.prod(rd.pair(a, shifted) for a in rd.positive_roots), denom)
+        dim, rem = divmod(math.prod(mat_vec(rd.positive_root_rows, shifted)), denom)
         total = sum(R.lusztig_q_analog(mu, lam).eval_at_one() * len(sph.W.orbit(lam))
                     for lam in rdm.dominant_below(rd, mu))
         if rem or total != dim:

@@ -6,7 +6,9 @@ length formula and the choice of the affine simple reflections.
 """
 from __future__ import annotations
 
+import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -50,10 +52,10 @@ class FiniteWeylElement:
         return "w[" + ("e" if not self.word else ".".join(map(str, self.word))) + "]"
 
 
-def _reflection(rd: RootDatum, beta: Vec, bv: Vec) -> Mat:
-    """The reflection lam -> lam - <beta, lam> bv of X_*, as a row matrix."""
-    ident = lattices.identity_matrix(rd.rank)
-    return lattices.transpose([vsub(e, lattices.vscale(rd.pair(beta, e), bv)) for e in ident])
+def _simple_reflection(rd: RootDatum, i: int) -> Mat:
+    """s_i on X_*, lam -> lam - <alpha_i, lam> alpha_i^, as a row matrix."""
+    row, bv = rd.simple_root_rows[i], rd.simple_coroots[i]
+    return tuple(tuple(int(r == c) - bv[r] * row[c] for c in range(rd.rank)) for r in range(rd.rank))
 
 
 class FiniteWeylGroup:
@@ -70,11 +72,20 @@ class FiniteWeylGroup:
     to +-w alpha_i; the same loop records its index as ``flip[k][i]``.
     An element is determined by its inversion flags, so ``by_inverted``
     maps each ``inverted`` tuple back to its element.
+
+    |W_0| is known before the search: the exponents of W_0 are the parts
+    of the partition dual to the numbers r_k of positive roots of height
+    k (Kostant), so |W_0| = prod_k (k+1)^(r_k - r_{k+1}).  A group above
+    ``MAX_W0_ORDER`` is refused before any element is built.
     """
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
-        refl = [_reflection(rd, a, av) for a, av in zip(rd.simple_roots, rd.simple_coroots)]
+        heights = Counter(map(sum, rd.positive_root_coords))
+        order = math.prod((k + 1) ** (heights[k] - heights[k + 1]) for k in heights)
+        if order > MAX_W0_ORDER:
+            raise WeylError(f"|W_0| = {order} exceeds bound {MAX_W0_ORDER}")
+        refl = [_simple_reflection(rd, i) for i in range(rd.semisimple_rank)]
         self.elements: list[FiniteWeylElement] = []
         self._right: list[list[int]] = []
         self.flip: list[list[int]] = []
@@ -88,8 +99,6 @@ class FiniteWeylGroup:
                 raise WeylError("BFS produced a non-reduced word")
             by_matrix[act] = len(self.elements)
             self.elements.append(FiniteWeylElement(act, word, len(word), len(self.elements), inverted))
-            if len(self.elements) > MAX_W0_ORDER:
-                raise WeylError(f"|W_0| exceeds bound {MAX_W0_ORDER}")
 
         add(lattices.identity_matrix(rd.rank), ())
         # elements[len(self._right):] is the frontier of the search
@@ -106,6 +115,8 @@ class FiniteWeylGroup:
                 flips.append(list(changed).index(True))
             self._right.append(row)
             self.flip.append(flips)
+        if len(self.elements) != order:
+            raise WeylError(f"BFS found {len(self.elements)} elements, not |W_0| = {order}")
         self.by_inverted = {w.inverted: w for w in self.elements}
         self.identity = self.elements[0]
         self.generators = [self.elements[k] for k in self._right[0]]
@@ -153,63 +164,36 @@ def render_affine(x: AffineWeylElement) -> str:
 
 class AffineWeylGroup:
     """The extended affine Weyl group X_*(T) semidirect W_0 together with
-    its affine simple system and length function."""
+    its affine simple system and length function.
+
+    Besides the finite simple reflections, there is one affine reflection
+    s_0 = t_{theta^} s_theta per irreducible component, theta its highest
+    root: the positive root for which no theta + alpha_i is a root.
+    Highest roots of distinct components have disjoint supports, so
+    sorting their simple-root coordinates in descending order puts them
+    in the order of the first simple root of each component.  With
+    theta^ = u alpha_k^ (``_simple_conjugate``), s_theta = u s_k u^-1."""
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
-        self.W0 = FiniteWeylGroup(rd)
-        # <alpha, -> as an integer row, one per positive root alpha
-        cols = lattices.transpose(rd.pairing)
-        self._root_rows = tuple(mat_vec(cols, alpha) for alpha in rd.positive_roots)
-        self.identity = AffineWeylElement(zero_vec(rd.rank), self.W0.identity)
+        W0 = self.W0 = FiniteWeylGroup(rd)
+        self.identity = AffineWeylElement(zero_vec(rd.rank), W0.identity)
         self.simple_refs: list[AffineWeylElement] = [
-            AffineWeylElement(zero_vec(rd.rank), g) for g in self.W0.generators
+            AffineWeylElement(zero_vec(rd.rank), g) for g in W0.generators
         ]
-        # one affine reflection per irreducible component: s_0 = t_{theta^} s_theta,
-        # with (u, k) such that theta = u alpha_k
+        # (u, k) with theta = u alpha_k, one per affine reflection
         self._theta_conj: list[tuple[FiniteWeylElement, int]] = []
-        for comp in self._components():
-            theta, theta_cov = self._highest_root(comp)
-            act = _reflection(rd, theta, theta_cov)
-            s_theta = next(w for w in self.W0.elements if w.act_cochar == act)
+        roots = set(rd.positive_root_coords)
+        unit = lattices.identity_matrix(rd.semisimple_rank)
+        highest = [c for c in rd.positive_root_coords if all(vadd(c, e) not in roots for e in unit)]
+        for theta in sorted(highest, reverse=True):
+            theta_cov = rd.positive_coroots[rd.positive_root_coords.index(theta)]
+            u, k = self._simple_conjugate(theta_cov)
+            s_theta = W0.mul(W0.mul(u, W0.generators[k]), W0.inverse(u))
             self.simple_refs.append(AffineWeylElement(theta_cov, s_theta))
-            self._theta_conj.append(self._simple_conjugate(theta_cov))
+            self._theta_conj.append((u, k))
 
     # -- structure ----------------------------------------------------
-
-    def _components(self) -> list[list[int]]:
-        n = self.rd.semisimple_rank
-        cartan = self.rd.cartan_matrix()
-        seen = set()
-        comps = []
-        for i in range(n):
-            if i in seen:
-                continue
-            comp = [i]
-            seen.add(i)
-            stack = [i]
-            while stack:
-                j = stack.pop()
-                for k in range(n):
-                    if k not in seen and cartan[j][k] != 0:
-                        seen.add(k)
-                        comp.append(k)
-                        stack.append(k)
-            comps.append(sorted(comp))
-        return comps
-
-    def _highest_root(self, comp: list[int]) -> tuple[Vec, Vec]:
-        best = None
-        rd = self.rd
-        for beta, bv, coeffs in zip(rd.positive_roots, rd.positive_coroots, rd.positive_root_coords):
-            support = [i for i, c in enumerate(coeffs) if c != 0]
-            if not set(support) <= set(comp):
-                continue
-            height = sum(coeffs)
-            if best is None or height > best[0]:
-                best = (height, beta, bv)
-        assert best is not None
-        return best[1], best[2]
 
     def _simple_conjugate(self, bv: Vec) -> tuple[FiniteWeylElement, int]:
         """(u, k) with u alpha_k^ = bv, hence u alpha_k = beta, for a
@@ -219,8 +203,7 @@ class AffineWeylGroup:
         rd = self.rd
         u = self.W0.identity
         while bv not in rd.simple_coroots:
-            i = next(i for i, a in enumerate(rd.simple_roots) if rd.pair(a, bv) > 0)
-            c = rd.pair(rd.simple_roots[i], bv)
+            i, c = next((i, c) for i, c in enumerate(mat_vec(rd.simple_root_rows, bv)) if c > 0)
             bv = vsub(bv, lattices.vscale(c, rd.simple_coroots[i]))
             u = self.W0.mul(u, self.W0.generators[i])
         return u, rd.simple_coroots.index(bv)
@@ -235,10 +218,6 @@ class AffineWeylGroup:
             vadd(x.translation, x.finite.apply_cochar(y.translation)),
             self.W0.mul(x.finite, y.finite),
         )
-
-    def inverse(self, x: AffineWeylElement) -> AffineWeylElement:
-        wi = self.W0.inverse(x.finite)
-        return AffineWeylElement(lattices.vneg(wi.apply_cochar(x.translation)), wi)
 
     def mul_simple(self, x: AffineWeylElement, i: int) -> AffineWeylElement:
         """x s_i for the i-th affine simple reflection, read from the W_0
@@ -270,7 +249,7 @@ class AffineWeylGroup:
         alpha of |<alpha, lam>| if w^-1 alpha > 0, else |<alpha, lam> - 1|."""
         lam = x.translation
         return sum(abs(sum(r * c for r, c in zip(row, lam)) - inv)
-                   for row, inv in zip(self._root_rows, x.finite.inverted))
+                   for row, inv in zip(self.rd.positive_root_rows, x.finite.inverted))
 
     def _moved_root(self, w: FiniteWeylElement, i: int) -> int:
         """The index j of the positive root +-w alpha_i for a finite s_i, or
@@ -300,7 +279,7 @@ class AffineWeylGroup:
         w theta = -alpha_j and the test is 1 - k >= 0."""
         w = x.finite
         j = self._moved_root(w, i)
-        k = sum(r * c for r, c in zip(self._root_rows[j], x.translation))
+        k = sum(r * c for r, c in zip(self.rd.positive_root_rows[j], x.translation))
         f = w.inverted[j]
         if i < len(self.W0.generators):
             return (k > 0) == f
@@ -328,25 +307,26 @@ class AffineWeylGroup:
     def root_pairings(self, nu: Vec):
         """<alpha, nu> for each positive root alpha, in the order of the
         inversion flags."""
-        return (sum(r * c for r, c in zip(row, nu)) for row in self._root_rows)
+        return (sum(r * c for r, c in zip(row, nu)) for row in self.rd.positive_root_rows)
 
-    def reduced_word(self, x: AffineWeylElement) -> tuple[tuple[int, ...], AffineWeylElement]:
-        """Left-greedy reduced word; returns (word, omega) with
-        x = (product of simple reflections along word) * omega and
-        len(word) = im_length(x).
+    def reduced_word(self, x: AffineWeylElement) -> tuple[AffineWeylElement, tuple[int, ...]]:
+        """Right-greedy reduced word; returns (omega, word) with
+        x = omega * (product of simple reflections along word), omega of
+        length zero and len(word) = im_length(x).
 
-        A left descent s_i of x (l(s_i x) < l(x)) is a right descent of
-        y = x^-1, so each letter is the first i with l(y s_i) < l(y),
-        decided by ``right_ascent``, and y then moves to y s_i."""
+        Each step takes the first i with l(y s_i) < l(y), decided by
+        ``right_ascent``, for the current y (first x itself), and moves y
+        to y s_i; the letters are found from the right end of the word,
+        and the y left at length zero is omega."""
         word: list[int] = []
-        y = self.inverse(x)
+        y = x
         for _ in range(self.im_length(x)):
             i = next((i for i in range(len(self.simple_refs)) if not self.right_ascent(y, i)), None)
             if i is None:
                 raise WeylError(f"no descent for positive-length element {x!r}")
             word.append(i)
             y = self.mul_simple(y, i)
-        return tuple(word), self.inverse(y)
+        return y, tuple(reversed(word))
 
     # -- W_0-orbits ------------------------------------------------------
 

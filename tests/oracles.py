@@ -15,8 +15,14 @@ algorithm than the library uses, so agreement is meaningful:
 * length-zero elements of the extended affine Weyl group by exhaustive
   search of a box, counted by the tests against pi_1 (the library reads
   pi_1 off lattice indices);
-* reduced words by the left-greedy loop over affine products and lengths
-  (the library takes one-root right descents of the inverse);
+* reduced words by the right-greedy loop over affine products and
+  lengths (the library decides each right descent by one root pairing
+  and steps through the W_0 tables);
+* the affine simple system by a depth-first search for the Dynkin
+  components, the highest root of each by height, and s_theta by a scan
+  of W_0 for its reflection matrix (the library reads the highest roots
+  off the root datum as its maximal roots and conjugates a simple
+  reflection);
 * spherical double cosets by listing and sorting all of W_0 t_mu W_0, and
   the spherical product c_mu * c_lam from the whole indicator 1_mu (the
   library multiplies only the left-minimal elements of the double coset,
@@ -261,11 +267,11 @@ def projected_c_mul(sph, mu, lam) -> LinComb:
     return LinComb(out)
 
 
-def left_greedy_word(W, x, memo=None):
-    """(word, omega) for x in the affine group W by the left-greedy loop:
-    while l(x) > 0, take the first simple s_i with l(s_i x) < l(x), record
-    i and replace x by s_i x, measuring every candidate with ``im_length``
-    and forming it by ``W.mul``.
+def right_greedy_word(W, x, memo=None):
+    """(omega, word) for x in the affine group W by the right-greedy loop:
+    while l(x) > 0, take the first simple s_i with l(x s_i) < l(x), record
+    i and replace x by x s_i, measuring every candidate with ``im_length``
+    and forming it by ``W.mul``; then x = omega * s_word.
 
     The loop depends only on the current element, so the answers for
     every element met are stored in ``memo``, if given, and reused."""
@@ -274,21 +280,66 @@ def left_greedy_word(W, x, memo=None):
     while x not in memo:
         length = W.im_length(x)
         if length == 0:
-            memo[x] = ((), x)
+            memo[x] = (x, ())
             break
         for i, s in enumerate(W.simple_refs):
-            cand = W.mul(s, x)
+            cand = W.mul(x, s)
             if W.im_length(cand) < length:
                 path.append((x, i))
                 x = cand
                 break
         else:
             raise AssertionError(f"no descent for positive-length element {x!r}")
-    word, omega = memo[x]
+    omega, word = memo[x]
     for y, i in reversed(path):
-        word = (i,) + word
-        memo[y] = (word, omega)
-    return word, omega
+        word = word + (i,)
+        memo[y] = (omega, word)
+    return omega, word
+
+
+def _reflection_matrix(rd: RootDatum, beta, bv):
+    """lam -> lam - <beta, lam> bv on X_*, as a row matrix."""
+    return tuple(tuple(int(r == c) - bv[r] * rd.pair(beta, tuple(int(k == c) for k in range(rd.rank)))
+                       for c in range(rd.rank)) for r in range(rd.rank))
+
+
+def affine_simple_refs(W) -> list[AffineWeylElement]:
+    """The affine simple reflections of W: the finite ones, then
+    s_0 = t_{theta^} s_theta for each irreducible component.
+
+    The components come from a depth-first search over the nonzero Cartan
+    entries, in the order of their least simple root; theta is the
+    positive root of greatest height supported in the component, and
+    s_theta is found by scanning W_0 for the reflection matrix of theta."""
+    rd = W.rd
+    n = rd.semisimple_rank
+    cartan = rd.cartan_matrix()
+    seen: set[int] = set()
+    comps = []
+    for i in range(n):
+        if i in seen:
+            continue
+        comp, stack = {i}, [i]
+        seen.add(i)
+        while stack:
+            j = stack.pop()
+            for k in range(n):
+                if k not in seen and cartan[j][k] != 0:
+                    seen.add(k)
+                    comp.add(k)
+                    stack.append(k)
+        comps.append(comp)
+    refs = [AffineWeylElement(zero_vec(rd.rank), g) for g in W.W0.generators]
+    for comp in comps:
+        _, theta, theta_cov = max(
+            (sum(coeffs), beta, bv)
+            for beta, bv, coeffs in zip(rd.positive_roots, rd.positive_coroots,
+                                        rd.positive_root_coords)
+            if all(c == 0 or i in comp for i, c in enumerate(coeffs)))
+        act = _reflection_matrix(rd, theta, theta_cov)
+        (s_theta,) = [w for w in W.W0.elements if w.act_cochar == act]
+        refs.append(AffineWeylElement(theta_cov, s_theta))
+    return refs
 
 
 def leibniz_det(mat) -> int:

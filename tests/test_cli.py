@@ -1,6 +1,7 @@
 """Command-line surface: table/JSON output, schema conformance, exit
 codes, environment-variable overrides, and byte-level determinism."""
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +15,19 @@ from satake.cli import main
 
 SRC_DIR = Path(__file__).parent.parent / "src"
 SCHEMA_DIR = SRC_DIR / "satake" / "schemas"
+BENCH_CHILD = Path(__file__).parent.parent / "bench" / "child.py"
+
+
+def load_bench_child():
+    """bench/child.py as a module, for its verify cells and reference
+    paths; importing it runs no benchmark."""
+    spec = importlib.util.spec_from_file_location("bench_child", BENCH_CHILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_child = load_bench_child()
 
 
 def load_schema(name):
@@ -176,6 +190,19 @@ class TestVerify:
         doc = json.loads(out)
         jsonschema.validate(doc, load_schema("verify_report.schema.json"))
         assert all(r["passed"] for r in doc["results"])
+
+
+class TestBenchReferences:
+    """``satake verify`` stdout of the benchmark's verify cells must equal
+    the references the benchmark checks it against, so a change to a
+    suite's text fails here before it fails the benchmark."""
+
+    @pytest.mark.parametrize("group, bound", bench_child.VERIFY_CELLS)
+    def test_verify_matches_bench_reference(self, capsys, group, bound):
+        ref = Path(bench_child.REFERENCE) / f"verify-{bench_child.slug(group)}-b{bound}.txt"
+        code, out, _ = run(capsys, "verify", "--group", group, "--bound", str(bound), "--seed", "1")
+        assert code == 0
+        assert out == ref.read_text()
 
 
 class TestDeterminism:

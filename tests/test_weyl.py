@@ -6,10 +6,12 @@ import random
 import pytest
 
 import satake.root_datum as rdm
-from satake import catalog
-from satake.weyl import AffineWeylElement, affine_weyl_group, finite_weyl_group
+from satake import catalog, lattices, weyl
+from satake.weyl import (AffineWeylElement, AffineWeylGroup, FiniteWeylGroup, WeylError,
+                         affine_weyl_group, finite_weyl_group)
 
-from oracles import from_finite, left_greedy_word, omega_elements, spherical_double_coset
+from oracles import (affine_simple_refs, from_finite, omega_elements, right_greedy_word,
+                     spherical_double_coset)
 
 
 def random_element(W, rng, max_length=6):
@@ -108,22 +110,26 @@ class TestLength:
             x = random_element(W, rng)
             y = random_element(W, rng)
             assert W.im_length(W.mul(x, y)) <= W.im_length(x) + W.im_length(y)
-            assert W.im_length(W.inverse(x)) == W.im_length(x)
+            # (t_lam w)^-1 = t_{-w^-1 lam} w^-1
+            wi = W.W0.inverse(x.finite)
+            x_inv = AffineWeylElement(tuple(-c for c in wi.apply_cochar(x.translation)), wi)
+            assert W.mul(x, x_inv) == W.identity
+            assert W.im_length(x_inv) == W.im_length(x)
 
 
 class TestReducedWords:
     def test_identity_and_simples(self):
         W = affine_weyl_group(catalog("SL(3)"))
-        word, omega = W.reduced_word(W.identity)
+        omega, word = W.reduced_word(W.identity)
         assert word == () and omega == W.identity
         for i, s in enumerate(W.simple_refs):
-            word, omega = W.reduced_word(s)
+            omega, word = W.reduced_word(s)
             assert word == (i,) and omega == W.identity
 
     def test_pgl2_generator_translation(self):
         W = affine_weyl_group(catalog("PGL(2)"))
         t = W.translation((1,))
-        word, omega = W.reduced_word(t)
+        omega, word = W.reduced_word(t)
         assert len(word) == W.im_length(t) == 1
         assert W.im_length(omega) == 0 and omega != W.identity
 
@@ -133,9 +139,9 @@ class TestReducedWords:
         rng = random.Random(11)
         for _ in range(40):
             x = random_element(W, rng)
-            word, omega = W.reduced_word(x)
+            omega, word = W.reduced_word(x)
             assert len(word) == W.im_length(x)
-            assert W.mul(W.word_to_element(word), omega) == x
+            assert W.mul(omega, W.word_to_element(word)) == x
             assert W.im_length(omega) == 0
 
 
@@ -195,13 +201,15 @@ class TestOneRootTests:
 
     @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
     def test_reduced_word_matches_left_greedy(self, name):
+        """Against the greedy loop over affine products and lengths, which
+        now reads descents on the right, as ``reduced_word`` does."""
         rd = catalog(name)
         W = affine_weyl_group(rd)
         memo = {}
         for lam in box(rd, 3 if rd.rank <= 3 else 2):
             for w in W.W0.elements:
                 x = AffineWeylElement(lam, w)
-                assert W.reduced_word(x) == left_greedy_word(W, x, memo), x
+                assert W.reduced_word(x) == right_greedy_word(W, x, memo), x
 
     @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
     def test_flip_is_the_one_changed_inversion(self, name):
@@ -317,3 +325,69 @@ class TestDoubleCosets:
         for mu in rdm.dominant_reps(rd, 6):
             for nu in W.orbit(mu):
                 assert W.dominant_representative(nu) == mu
+
+
+def from_cartan(name, cartan):
+    """The simply connected root datum of a Cartan matrix, rows
+    <alpha_i, alpha_j^> over j: characters in the fundamental-weight basis,
+    cocharacters in the simple-coroot basis."""
+    e = lattices.identity_matrix(len(cartan))
+    return rdm.make_root_datum(name, len(cartan), e, cartan, e)
+
+
+CARTAN_TYPES = {
+    "G2": [[2, -1], [-3, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    # A2 on simple roots 0, 2 and A1 on 1: components interleave
+    "A2+A1": [[2, 0, -1], [0, 2, 0], [-1, 0, 2]],
+}
+W0_ORDERS = {"G2": 12, "B3": 48, "D4": 192, "F4": 1152, "A2+A1": 12}
+
+SYSTEM_GROUPS = ["Sp(4)*SL(2)", "SL(2)*Sp(4)", "SL(3)*GL(2)*SL(2)", "SO(5)*PGL(3)*torus(2)"]
+
+
+class TestAffineSimpleSystem:
+    """The affine simple reflections, read off the root datum, against the
+    component search, height search and W_0 scan of the oracle."""
+
+    @pytest.mark.parametrize("name", SYSTEM_GROUPS)
+    def test_catalog_products_match_oracle(self, name):
+        W = affine_weyl_group(catalog(name))
+        assert W.simple_refs == affine_simple_refs(W)
+
+    @pytest.mark.parametrize("name", sorted(CARTAN_TYPES))
+    def test_cartan_types_match_oracle(self, name):
+        W = AffineWeylGroup(from_cartan(name, CARTAN_TYPES[name]))
+        assert len(W.W0) == W0_ORDERS[name]
+        assert W.simple_refs == affine_simple_refs(W)
+        assert all(W.im_length(s) == 1 for s in W.simple_refs)
+
+
+class TestW0Bound:
+    @pytest.fixture
+    def mat_muls(self, monkeypatch):
+        calls = []
+        mat_mul = lattices.mat_mul
+        monkeypatch.setattr(lattices, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+        return calls
+
+    def test_oversized_group_is_refused_before_enumeration(self, monkeypatch, mat_muls):
+        monkeypatch.setattr(weyl, "MAX_W0_ORDER", 100)
+        with pytest.raises(WeylError, match="120 exceeds bound 100"):
+            FiniteWeylGroup(catalog("SL(5)"))
+        assert not mat_muls
+
+    def test_bound_admits_its_own_order(self, monkeypatch, mat_muls):
+        monkeypatch.setattr(weyl, "MAX_W0_ORDER", 120)
+        assert len(FiniteWeylGroup(catalog("SL(5)"))) == 120
+        assert mat_muls
+
+    def test_cli_reports_one_error_line(self, monkeypatch, capsys, mat_muls):
+        from satake.cli import main
+        monkeypatch.setattr(weyl, "MAX_W0_ORDER", 100)
+        assert main(["verify", "--group", "SL(5)"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not mat_muls
