@@ -23,11 +23,6 @@ from .weyl import AffineWeylElement, affine_weyl_group
 # longest key IwahoriHecke.mul accepts in either factor (read at call time)
 MAX_KEY_LENGTH = 64
 
-# the constants of the quadratic relation T_s^2 = (q-1) T_s + q
-_Q_MINUS_ONE = LaurentPoly(((1, 1), (0, -1)))
-_Q = LaurentPoly.q()
-
-
 class HeckeError(RuntimeError):
     pass
 
@@ -54,44 +49,60 @@ class IwahoriHecke:
     def basis(self, x: AffineWeylElement) -> LinComb:
         return LinComb.unit(x)
 
-    def _mul_simple_right(self, a: LinComb, i: int) -> LinComb:
-        """Right multiplication by T_s for the i-th affine simple
-        reflection: T_w T_s = T_ws if the length goes up, else
-        (q-1) T_w + q T_ws."""
-        W = self.W
-        out = []
-        for w, p in a.items():
-            ws = W.mul_simple(w, i)
-            if W.right_ascent(w, i):
-                out.append((ws, p))
-            else:
-                out.append((w, p * _Q_MINUS_ONE))
-                out.append((ws, p * _Q))
-        return LinComb(out)
-
     def mul(self, a: LinComb, b: LinComb) -> LinComb:
         """Product computed, for every key x = omega * s_word of b
         (``AffineWeylGroup.reduced_word``), by mapping a's keys w to
         w omega, since T_w T_omega = T_{w omega} for omega of length
-        zero, and then right-multiplying along the word.  Keys longer
-        than ``MAX_KEY_LENGTH`` are refused with ``KeyLengthError`` before
-        any product is formed; the lengths of b's keys are those of their
-        words."""
+        zero, and then right-multiplying along the word by the
+        Iwahori-Matsumoto rule: T_w T_s = T_ws if the length goes up,
+        else (q-1) T_w + q T_ws.  Keys longer than ``MAX_KEY_LENGTH`` are
+        refused with ``KeyLengthError`` before any product is formed; the
+        lengths of b's keys are those of their words.
+
+        The running product of each word is a dict
+        {(translation, W_0 index): {exponent: coefficient}} of ints, stepped
+        letter by letter with ``AffineWeylGroup.step``; every word's result,
+        times its coefficient in b, is added into one such dict, and the
+        polynomials and the LinComb are built once, at the end."""
         W = self.W
         factors = [(W.reduced_word(x), p) for x, p in b.items()]
         lengths = [W.im_length(x) for x in a.keys()] + [len(word) for (_, word), _ in factors]
         if any(n > MAX_KEY_LENGTH for n in lengths):
             raise KeyLengthError(MAX_KEY_LENGTH)
-
-        def terms():
-            for (omega, word), p in factors:
-                cur = a if omega == W.identity else LinComb((W.mul(w, omega), c) for w, c in a.items())
-                for i in word:
-                    cur = self._mul_simple_right(cur, i)
-                for w, c in cur.items():
-                    yield w, c * p
-
-        return LinComb(terms())
+        step = W.step
+        acc: dict = {}
+        for (omega, word), p in factors:
+            shift = omega != W.identity
+            cur = {}
+            for w, c in a.items():
+                y = W.mul(w, omega) if shift else w
+                cur[y.translation, y.finite.index] = dict(c.terms)
+            for i in word:
+                nxt: dict = {}
+                for key, poly in cur.items():
+                    key_s, up = step(key, i)
+                    to_s = nxt.get(key_s)
+                    if up and to_s is None:
+                        nxt[key_s] = poly
+                    elif up:
+                        for e, c in poly.items():
+                            to_s[e] = to_s.get(e, 0) + c
+                    else:
+                        to_s = nxt.setdefault(key_s, {})
+                        to_w = nxt.setdefault(key, {})
+                        for e, c in poly.items():
+                            to_s[e + 1] = to_s.get(e + 1, 0) + c
+                            to_w[e + 1] = to_w.get(e + 1, 0) + c
+                            to_w[e] = to_w.get(e, 0) - c
+                cur = nxt
+            for key, poly in cur.items():
+                out = acc.setdefault(key, {})
+                for e1, c1 in poly.items():
+                    for e2, c2 in p.terms:
+                        out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        elements = W.W0.elements
+        return LinComb((AffineWeylElement(lam, elements[k]), LaurentPoly._from_dict(poly))
+                       for (lam, k), poly in acc.items() if any(poly.values()))
 
 
 class SphericalHecke:
@@ -234,21 +245,28 @@ class SphericalHecke:
     def to_ic_basis(self, f: LinComb) -> LinComb:
         """Rewrite a c-basis function as the K0 element sum a_mu IC_mu(0)
         whose trace is f, by back-substitution along the dominance order
-        (the change of basis is unitriangular)."""
-        remaining = f
+        (the change of basis is unitriangular).  The remainder is one
+        {weight: {exponent: coefficient}} dict of ints, from which each
+        step subtracts a_mu ic_function(mu) in place."""
+        remaining = {mu: dict(p.terms) for mu, p in f.items()}
         out = []
         guard = 0
-        while not remaining.is_zero():
+        while remaining:
             guard += 1
             if guard > 10000:
                 raise HeckeError("basis change did not terminate")
-            mu = max(remaining.keys(), key=lambda v: (rdm.d_pairing(self.rd, v), v))
-            lead = remaining.coefficient(mu)
-            sigma = self.k0.sign(mu)
-            a = lead if sigma == 1 else lead.scale(-1)
+            mu = max(remaining, key=lambda v: (rdm.d_pairing(self.rd, v), v))
+            lead = LaurentPoly._from_dict(remaining[mu])
+            a = lead if self.k0.sign(mu) == 1 else lead.scale(-1)
             out.append((ICClass(mu, 0), a))
-            remaining = remaining - self.k0.ic_function(mu).scale(a)
-            if mu in remaining.keys():
+            for lam, h in self.k0.ic_function(mu).items():
+                acc = remaining.setdefault(lam, {})
+                for e1, c1 in h.terms:
+                    for e2, c2 in a.terms:
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) - c1 * c2
+                if not any(acc.values()):
+                    del remaining[lam]
+            if mu in remaining:
                 raise HeckeError("basis change is not unitriangular")
         return LinComb(out)
 

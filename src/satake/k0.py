@@ -60,30 +60,34 @@ class SatakeK0:
 
     # -- convolution ---------------------------------------------------
 
-    def _constituents(self, a: ICClass, b: ICClass):
+    def _constituents(self, a: ICClass, b: ICClass, d_ab: int):
         """(class, multiplicity) for each tensor constituent nu of a * b,
-        with the unique Tate twist forced by purity-weight additivity."""
-        rd = self.rd
-        d_ab = rdm.d_pairing(rd, a.mu) + rdm.d_pairing(rd, b.mu)
+        with the unique Tate twist forced by purity-weight additivity;
+        d_ab = <2rho, a.mu> + <2rho, b.mu>."""
         n_ab = a.n + b.n
         for nu, mult in self.R.tensor_decompose(a.mu, b.mu).items():
-            offset = rdm.d_pairing(rd, nu) - d_ab
+            offset = rdm.d_pairing(self.rd, nu) - d_ab
             if offset % 2 != 0:
                 raise K0Error(f"non-integral twist for constituent {nu}")
             yield ICClass(nu, n_ab + offset // 2), mult
 
     def convolve_ic(self, a: ICClass, b: ICClass) -> LinComb:
         """Convolution of basis classes."""
-        return LinComb((cls, LaurentPoly.const(mult)) for cls, mult in self._constituents(a, b))
+        d_ab = rdm.d_pairing(self.rd, a.mu) + rdm.d_pairing(self.rd, b.mu)
+        return LinComb((cls, LaurentPoly.const(mult)) for cls, mult in self._constituents(a, b, d_ab))
 
     def convolve(self, x: LinComb, y: LinComb) -> LinComb:
         """Convolution extended bilinearly; each coefficient product is
-        formed once per pair of classes and scaled by the multiplicities."""
+        formed once per pair of classes and scaled by the multiplicities,
+        and <2rho, -> of each factor weight once per class."""
+        right = [(b, r, rdm.d_pairing(self.rd, b.mu)) for b, r in y.items()]
+
         def terms():
             for a, p in x.items():
-                for b, r in y.items():
+                d_a = rdm.d_pairing(self.rd, a.mu)
+                for b, r, d_b in right:
                     pr = p * r
-                    for cls, mult in self._constituents(a, b):
+                    for cls, mult in self._constituents(a, b, d_a + d_b):
                         yield cls, pr.scale(mult)
 
         return LinComb(terms())

@@ -23,6 +23,8 @@ class WeylError(RuntimeError):
 
 
 Mat = tuple[Vec, ...]
+# (translation, index in FiniteWeylGroup.elements) of t_lam w
+Key = tuple[Vec, int]
 
 # |W_0| above this (the order of the Weyl group of type A_9) is refused
 MAX_W0_ORDER = 3628800
@@ -181,17 +183,22 @@ class AffineWeylGroup:
         self.simple_refs: list[AffineWeylElement] = [
             AffineWeylElement(zero_vec(rd.rank), g) for g in W0.generators
         ]
-        # (u, k) with theta = u alpha_k, one per affine reflection
-        self._theta_conj: list[tuple[FiniteWeylElement, int]] = []
+        # _moves[k][i] = (j, index of w s_i) for w = W0.elements[k], with
+        # alpha_j = +-w alpha_i for a finite s_i and +-w theta for s_0
+        self._moves = [list(zip(W0.flip[k], W0._right[k])) for k in range(len(W0))]
         roots = set(rd.positive_root_coords)
         unit = lattices.identity_matrix(rd.semisimple_rank)
         highest = [c for c in rd.positive_root_coords if all(vadd(c, e) not in roots for e in unit)]
         for theta in sorted(highest, reverse=True):
             theta_cov = rd.positive_coroots[rd.positive_root_coords.index(theta)]
-            u, k = self._simple_conjugate(theta_cov)
-            s_theta = W0.mul(W0.mul(u, W0.generators[k]), W0.inverse(u))
+            u, m = self._simple_conjugate(theta_cov)
+            s_theta = W0.mul(W0.mul(u, W0.generators[m]), W0.inverse(u))
             self.simple_refs.append(AffineWeylElement(theta_cov, s_theta))
-            self._theta_conj.append((u, k))
+            # w theta = (wu) alpha_m
+            for w, moves in zip(W0.elements, self._moves):
+                moves.append((W0.flip[W0.mul(w, u).index][m], W0.mul(w, s_theta).index))
+        # _coroot_columns[j] = <alpha, alpha_j^> over the positive roots alpha
+        self._coroot_columns = [tuple(self.root_pairings(bv)) for bv in rd.positive_coroots]
 
     # -- structure ----------------------------------------------------
 
@@ -219,28 +226,31 @@ class AffineWeylGroup:
             self.W0.mul(x.finite, y.finite),
         )
 
-    def mul_simple(self, x: AffineWeylElement, i: int) -> AffineWeylElement:
-        """x s_i for the i-th affine simple reflection, read from the W_0
-        tables without a matrix product.
+    def step(self, key: Key, i: int) -> tuple[Key, bool]:
+        """(key of x s_i, whether l(x s_i) > l(x)) for the i-th affine
+        simple reflection and x = t_lam w with key (lam, w.index), read
+        from the tables with one root pairing and no matrix product.
 
-        A finite s_i keeps the translation: t_lam w s_i = t_lam (w s_i).
-        The affine s_0 = t_{theta^} s_theta gives t_{lam + w theta^}
-        (w s_theta), where w theta^ = +-alpha_j^ for the root j of
-        ``_moved_root``."""
-        W0 = self.W0
-        w = x.finite
-        if i < len(W0.generators):
-            return AffineWeylElement(x.translation, W0.elements[W0._right[w.index][i]])
-        j = self._moved_root(w, i)
-        step = vsub if w.inverted[j] else vadd
-        return AffineWeylElement(step(x.translation, self.rd.positive_coroots[j]),
-                                 W0.mul(w, self.simple_refs[i].finite))
+        ``_moves`` gives the positive root alpha_j = +-w alpha_i (finite
+        s_i) or +-w theta (affine s_0 = t_{theta^} s_theta) and the index
+        of w s_i or w s_theta; the sign is - exactly when w inverts
+        alpha_j, i.e. its flag f is 1.  A finite s_i keeps the translation,
+        and s_0 gives t_{lam + w theta^} (w s_theta) = t_{lam +- alpha_j^}.
+        The length change is decided by <alpha_j, lam> (``_ascends``)."""
+        lam, k = key
+        j, k_s = self._moves[k][i]
+        f = self.W0.elements[k].inverted[j]
+        finite = i < len(self.W0.generators)
+        up = _ascends(finite, f, sum(map(operator.mul, self.rd.positive_root_rows[j], lam)))
+        if not finite:
+            lam = (vsub if f else vadd)(lam, self.rd.positive_coroots[j])
+        return (lam, k_s), up
 
     def word_to_element(self, word: Iterable[int]) -> AffineWeylElement:
-        x = self.identity
+        lam, k = self.identity.translation, 0
         for i in word:
-            x = self.mul_simple(x, i)
-        return x
+            (lam, k), _ = self.step((lam, k), i)
+        return AffineWeylElement(lam, self.W0.elements[k])
 
     # -- length and reduced words --------------------------------------
 
@@ -250,40 +260,6 @@ class AffineWeylGroup:
         lam = x.translation
         return sum(abs(sum(r * c for r, c in zip(row, lam)) - inv)
                    for row, inv in zip(self.rd.positive_root_rows, x.finite.inverted))
-
-    def _moved_root(self, w: FiniteWeylElement, i: int) -> int:
-        """The index j of the positive root +-w alpha_i for a finite s_i, or
-        +-w theta for the affine s_i = t_{theta^} s_theta; the sign is -
-        exactly when w inverts alpha_j.  With theta = u alpha_m,
-        w theta = (wu) alpha_m, so j = W0.flip[wu][m]."""
-        n = len(self.W0.generators)
-        if i < n:
-            return self.W0.flip[w.index][i]
-        u, m = self._theta_conj[i - n]
-        return self.W0.flip[self.W0.mul(w, u).index][m]
-
-    def right_ascent(self, x: AffineWeylElement, i: int) -> bool:
-        """Whether l(x s_i) > l(x) for the i-th affine simple reflection,
-        decided by one positive root alpha_j.
-
-        Let x = t_lam w, k = <alpha_j, lam> and f the inversion flag of w
-        at alpha_j.  For a finite s_i, x s_i = t_lam (w s_i) and the flags
-        of w and w s_i differ only at j = W0.flip[w][i], so the length
-        formula changes by |k - 1 + f| - |k - f|: it goes up exactly when
-        (k > 0) == f.  An affine s_0 = t_{theta^} s_theta is the
-        reflection in the affine root 1 - theta, which x sends to
-        (1 + <w theta, lam>) - w theta; the length goes up iff that root
-        is positive, i.e. its constant is > 0, or is 0 and its linear
-        part is a positive root.  By ``_moved_root``, w theta = +-alpha_j:
-        if f = 0, w theta = alpha_j and the test is 1 + k > 0; if f = 1,
-        w theta = -alpha_j and the test is 1 - k >= 0."""
-        w = x.finite
-        j = self._moved_root(w, i)
-        k = sum(r * c for r, c in zip(self.rd.positive_root_rows[j], x.translation))
-        f = w.inverted[j]
-        if i < len(self.W0.generators):
-            return (k > 0) == f
-        return (1 - k if f else k) >= 0
 
     def min_coset_length(self, nu: Vec) -> int:
         """min over w in W_0 of l(t_nu w), the length of the minimal
@@ -314,19 +290,34 @@ class AffineWeylGroup:
         x = omega * (product of simple reflections along word), omega of
         length zero and len(word) = im_length(x).
 
-        Each step takes the first i with l(y s_i) < l(y), decided by
-        ``right_ascent``, for the current y (first x itself), and moves y
-        to y s_i; the letters are found from the right end of the word,
-        and the y left at length zero is omega."""
+        Each step takes the first i with l(y s_i) < l(y) for the current
+        y (first x itself) and moves y to y s_i, as ``step`` does; the
+        letters are found from the right end of the word, and the y left
+        at length zero is omega.  The pairings <alpha, lam> of y's
+        translation are computed once: an affine letter moves lam by
+        +-alpha_j^, so they move by the stored column <alpha, alpha_j^>,
+        and each descent test reads one of them."""
+        W0 = self.W0
+        n = len(W0.generators)
+        lam, k = x.translation, x.finite.index
+        pairings = list(self.root_pairings(lam))
         word: list[int] = []
-        y = x
-        for _ in range(self.im_length(x)):
-            i = next((i for i in range(len(self.simple_refs)) if not self.right_ascent(y, i)), None)
-            if i is None:
+        # im_length(x), read from the pairings
+        for _ in range(sum(map(abs, map(operator.sub, pairings, x.finite.inverted)))):
+            flags = W0.elements[k].inverted
+            for i, (j, k_s) in enumerate(self._moves[k]):
+                if not _ascends(i < n, flags[j], pairings[j]):
+                    break
+            else:
                 raise WeylError(f"no descent for positive-length element {x!r}")
             word.append(i)
-            y = self.mul_simple(y, i)
-        return y, tuple(reversed(word))
+            k = k_s
+            if i >= n:
+                f = flags[j]
+                lam = (vsub if f else vadd)(lam, self.rd.positive_coroots[j])
+                pairings = list(map(operator.sub if f else operator.add, pairings,
+                                    self._coroot_columns[j]))
+        return AffineWeylElement(lam, W0.elements[k]), tuple(reversed(word))
 
     # -- W_0-orbits ------------------------------------------------------
 
@@ -343,6 +334,25 @@ class AffineWeylGroup:
 
     def orbit(self, lam: Vec) -> frozenset:
         return frozenset(w.apply_cochar(lam) for w in self.W0.elements)
+
+
+def _ascends(finite: bool, f: int, k: int) -> bool:
+    """Whether l(x s_i) > l(x) for x = t_lam w, from the root alpha_j of
+    ``AffineWeylGroup.step``, k = <alpha_j, lam> and the inversion flag f
+    of w at alpha_j.
+
+    For a finite s_i, x s_i = t_lam (w s_i) and the flags of w and w s_i
+    differ only at j, so the length formula changes by |k - 1 + f| -
+    |k - f|: it goes up exactly when (k > 0) == f.  An affine
+    s_0 = t_{theta^} s_theta is the reflection in the affine root
+    1 - theta, which x sends to (1 + <w theta, lam>) - w theta; the length
+    goes up iff that root is positive, i.e. its constant is > 0, or is 0
+    and its linear part is a positive root.  If f = 0, w theta = alpha_j
+    and the test is 1 + k > 0; if f = 1, w theta = -alpha_j and the test
+    is 1 - k >= 0."""
+    if finite:
+        return (k > 0) == f
+    return k <= 1 if f else k >= 0
 
 
 @lru_cache(maxsize=None)

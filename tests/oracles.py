@@ -18,6 +18,10 @@ algorithm than the library uses, so agreement is meaningful:
 * reduced words by the right-greedy loop over affine products and
   lengths (the library decides each right descent by one root pairing
   and steps through the W_0 tables);
+* Iwahori-Hecke products one letter at a time, a LinComb per letter,
+  with each step formed by the affine product and decided by two
+  lengths (the library walks integer keys through the W_0 tables into
+  one integer accumulator);
 * the affine simple system by a depth-first search for the Dynkin
   components, the highest root of each by height, and s_theta by a scan
   of W_0 for its reflection matrix (the library reads the highest roots
@@ -295,6 +299,32 @@ def right_greedy_word(W, x, memo=None):
         word = word + (i,)
         memo[y] = (omega, word)
     return omega, word
+
+
+def stepwise_mul(iw, a, b) -> LinComb:
+    """a * b in the IwahoriHecke iw, a LinComb per letter: for every key
+    x = omega * s_word of b (``right_greedy_word``), map a's keys w to
+    w omega, then multiply on the right by T_s for each letter, by
+    T_w T_s = T_ws if l(ws) > l(w), else (q-1) T_w + q T_ws, with ws
+    formed by the affine product and both lengths from ``im_length``."""
+    W = iw.W
+    q_minus_one, q = LaurentPoly(((1, 1), (0, -1))), LaurentPoly.q()
+    terms = []
+    for x, p in b.items():
+        omega, word = right_greedy_word(W, x)
+        cur = LinComb((W.mul(w, omega), c) for w, c in a.items())
+        for i in word:
+            s = W.simple_refs[i]
+            out = []
+            for w, c in cur.items():
+                ws = W.mul(w, s)
+                if W.im_length(ws) > W.im_length(w):
+                    out.append((ws, c))
+                else:
+                    out += [(w, c * q_minus_one), (ws, c * q)]
+            cur = LinComb(out)
+        terms += [(w, c * p) for w, c in cur.items()]
+    return LinComb(terms)
 
 
 def _reflection_matrix(rd: RootDatum, beta, bv):

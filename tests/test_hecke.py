@@ -16,10 +16,10 @@ from satake.rep_ring import G1RepClass
 from satake.verify import dominant_pairs
 from satake.weyl import AffineWeylGroup, affine_weyl_group
 
-from oracles import (from_finite, indicator_from_iwahori, poincare_polynomial, projected_c_mul,
-                     spherical_double_coset)
+from oracles import (from_finite, indicator_from_iwahori, omega_elements, poincare_polynomial,
+                     projected_c_mul, spherical_double_coset, stepwise_mul)
 from test_acceptance import CROSS_PATH_CELLS
-from test_weyl import random_element
+from test_weyl import CARTAN_TYPES, from_cartan, random_element
 
 
 def P(*terms):
@@ -89,14 +89,78 @@ class TestIwahori:
             iw.mul(big, big)
 
 
+ORACLE_GROUPS = ["PGL(2)", "GL(3)", "SO(5)", "Sp(4)*SL(2)", "GL(4)", "G2", "B3"]
+
+
+def random_comb(W, rng, terms, max_length=5):
+    """A seeded LinComb of up to ``terms`` keys with Laurent coefficients."""
+    return LinComb((random_element(W, rng, max_length),
+                    P((rng.randrange(-2, 3), rng.choice((-3, -1, 1, 2))), (3, rng.randrange(2))))
+                   for _ in range(terms))
+
+
+class TestStepwiseOracle:
+    """IwahoriHecke.mul, on integer keys into one accumulator, against the
+    oracle's per-letter LinComb route with lengths measured at each step."""
+
+    @pytest.fixture(params=ORACLE_GROUPS)
+    def iw(self, request):
+        name = request.param
+        rd = from_cartan(name, CARTAN_TYPES[name]) if name in CARTAN_TYPES else catalog(name)
+        return IwahoriHecke(rd)
+
+    def test_random_products(self, iw):
+        rng = random.Random(59)
+        for _ in range(8):
+            a = random_comb(iw.W, rng, rng.randrange(2, 6))
+            b = random_comb(iw.W, rng, rng.randrange(1, 4))
+            assert len(a) > 1
+            assert iw.mul(a, b) == stepwise_mul(iw, a, b), (a, b)
+
+    @pytest.mark.parametrize("name", ["PGL(2)", "GL(3)", "GL(4)"])
+    def test_right_factors_with_length_zero_part(self, name):
+        iw = IwahoriHecke(catalog(name))
+        W = iw.W
+        rng = random.Random(61)
+        omegas = [x for x in omega_elements(W, box=1) if x != W.identity]
+        assert omegas
+        for omega in omegas:
+            x = W.mul(omega, random_element(W, rng))
+            assert W.reduced_word(x)[0] != W.identity
+            a = random_comb(W, rng, 3)
+            for b in (iw.basis(omega), iw.basis(x), LinComb(((omega, ONE), (x, P((1, -2)))))):
+                assert iw.mul(a, b) == stepwise_mul(iw, a, b), (a, b)
+
+    def test_cancelling_products_store_no_zero(self, iw):
+        """(T_s - q)(T_s + 1) = 0, also after a left factor T_x; the part
+        left over from a sum with it has no zero scalar."""
+        W = iw.W
+        rng = random.Random(67)
+        q = LaurentPoly.q()
+        for s in W.simple_refs:
+            zero = iw.mul(LinComb(((s, ONE), (W.identity, -q))), LinComb(((s, ONE), (W.identity, ONE))))
+            assert zero.is_zero()
+            x = random_element(W, rng)
+            a = iw.mul(iw.basis(x), LinComb(((s, ONE), (W.identity, -q))))
+            b = LinComb(((s, ONE), (W.identity, ONE)))
+            assert iw.mul(a, b).is_zero() and stepwise_mul(iw, a, b).is_zero()
+            y = random_element(W, rng)
+            c = LinComb(itertools.chain(a.items(), ((y, ONE),)))
+            prod = iw.mul(c, b)
+            assert prod == stepwise_mul(iw, c, b) == iw.mul(iw.basis(y), b)
+            assert all(p for _, p in prod.items())
+
+
 class TestWorkCounts:
     """The cost shape of the Iwahori path, pinned by counting calls: one
-    length per key, and no matrix product per letter of a word."""
+    length per key of the left factor, one pairing vector per word, no
+    matrix product per letter of a word, and one LinComb per product."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"im_length": 0, "mat_vec": 0}
+        counts = {"im_length": 0, "mat_vec": 0, "root_pairings": 0}
         im_length, mat_vec = AffineWeylGroup.im_length, weyl.mat_vec
+        root_pairings = AffineWeylGroup.root_pairings
 
         def counted_im_length(W, x):
             counts["im_length"] += 1
@@ -106,7 +170,12 @@ class TestWorkCounts:
             counts["mat_vec"] += 1
             return mat_vec(m, v)
 
+        def counted_root_pairings(W, nu):
+            counts["root_pairings"] += 1
+            return root_pairings(W, nu)
+
         monkeypatch.setattr(AffineWeylGroup, "im_length", counted_im_length)
+        monkeypatch.setattr(AffineWeylGroup, "root_pairings", counted_root_pairings)
         monkeypatch.setattr(weyl, "mat_vec", counted_mat_vec)
         return counts
 
@@ -117,9 +186,9 @@ class TestWorkCounts:
         for size in (1, 4, 16, 64):
             word = [rng.randrange(len(W.simple_refs)) for _ in range(size)]
             x = W.word_to_element(word)
-            counts.update(im_length=0, mat_vec=0)
+            counts.update(im_length=0, mat_vec=0, root_pairings=0)
             W.reduced_word(x)
-            assert counts["im_length"] == 1 and counts["mat_vec"] == 0, (size, counts)
+            assert counts == {"im_length": 0, "mat_vec": 0, "root_pairings": 1}, (size, counts)
 
     @pytest.mark.parametrize("name", ["PGL(2)", "GL(3)", "Sp(4)*SL(2)"])
     def test_mul_inverts_nothing(self, monkeypatch, name):
@@ -148,13 +217,13 @@ class TestWorkCounts:
         b = LinComb((random_element(iw.W, rng), ONE) for _ in range(5))
         counts.update(im_length=0)
         iw.mul(a, b)
-        assert counts["im_length"] == len(a) + len(b)
+        assert counts["im_length"] == len(a)
 
     @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
     def test_c_mul_multiplies_the_left_minimal_elements_once(self, counts, monkeypatch, name):
         """One IwahoriHecke.mul per uncached product, with a left factor of
-        |W_0 mu| keys; the only lengths measured are those of the factors'
-        and the product's keys, so no double coset is enumerated."""
+        |W_0 mu| keys; the only lengths measured are those of the left
+        factor's and the product's keys, so no double coset is enumerated."""
         calls = []
         mul = IwahoriHecke.mul
 
@@ -172,7 +241,7 @@ class TestWorkCounts:
             sph.c_mul_iwahori(mu, lam)
             ((left, right, out),) = calls
             assert left == len(sph.W.orbit(mu)) and right == 1, (mu, lam)
-            assert counts["im_length"] == left + right + out, (mu, lam, counts)
+            assert counts["im_length"] == left + out, (mu, lam, counts)
             calls.clear()
             sph.c_mul_iwahori(mu, lam)
             assert calls == []
@@ -183,9 +252,40 @@ class TestWorkCounts:
         sph = SphericalHecke(rd)
         a = indicator_from_iwahori(sph, rdm.dominant_reps(rd, 4)[-1])
         counts.update(mat_vec=0)
-        for i in range(len(sph.W.simple_refs)):
-            sph.iwahori._mul_simple_right(a, i)
+        for x in a.keys():
+            for i in range(len(sph.W.simple_refs)):
+                sph.W.step((x.translation, x.finite.index), i)
         assert counts["mat_vec"] == 0
+
+    @pytest.mark.parametrize("name", ["PGL(2)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_mul_builds_one_lincomb_whatever_the_word_length(self, monkeypatch, name):
+        """The running products are int dicts: one LinComb per product and
+        one LaurentPoly per key of the result, however long the words."""
+        built = Counter()
+        lincomb_init, canonical = LinComb.__init__, LaurentPoly._canonical.__func__
+        laurent_init = LaurentPoly.__init__
+
+        def counted(kind, f):
+            def wrapper(*args, **kwargs):
+                built[kind] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(LinComb, "__init__", counted("LinComb", lincomb_init))
+        monkeypatch.setattr(LaurentPoly, "__init__", counted("LaurentPoly", laurent_init))
+        monkeypatch.setattr(LaurentPoly, "_canonical",
+                            classmethod(counted("LaurentPoly", canonical)))
+        iw = IwahoriHecke(catalog(name))
+        W = iw.W
+        rng = random.Random(53)
+        for size in (0, 1, 4, 16, 32):
+            a = LinComb((W.word_to_element([rng.randrange(len(W.simple_refs)) for _ in range(4)]),
+                         P((rng.randrange(-2, 3), rng.choice((-2, 1, 3))))) for _ in range(3))
+            b = iw.basis(W.word_to_element([rng.randrange(len(W.simple_refs))
+                                            for _ in range(size)]))
+            built.clear()
+            out = iw.mul(a, b)
+            assert built == {"LinComb": 1, "LaurentPoly": len(out)}, (size, built)
 
 
 class TestDualWorkCounts:
@@ -433,6 +533,30 @@ class TestTraceFunctions:
             x = LinComb((ICClass(mu, 0), p) for mu, p in terms)
             assert sph.k0.trace_to_hecke(sph.to_ic_basis(f)) == f
             assert sph.to_ic_basis(sph.k0.trace_to_hecke(x)) == x
+
+    def test_basis_change_adds_no_combinations(self, monkeypatch):
+        """The remainder is one int accumulator: to_ic_basis calls neither
+        LinComb.__add__ nor LinComb.__sub__."""
+        rd = catalog("GL(3)")
+        sph = SphericalHecke(rd, signed_trace=True)
+        rng = random.Random(43)
+        reps = rdm.dominant_reps(rd, 6)
+        fs = [LinComb((rng.choice(reps), LaurentPoly.q(rng.randrange(-2, 3), rng.randrange(-3, 4)))
+                      for _ in range(4)) for _ in range(10)]
+        calls = []
+        add, sub = LinComb.__add__, LinComb.__sub__
+        monkeypatch.setattr(LinComb, "__add__", lambda x, y: calls.append("+") or add(x, y))
+        monkeypatch.setattr(LinComb, "__sub__", lambda x, y: calls.append("-") or sub(x, y))
+        expansions = [sph.to_ic_basis(f) for f in fs]
+        assert calls == []
+        for f, x in zip(fs, expansions):
+            assert sph.k0.trace_to_hecke(x) == f
+
+    def test_basis_change_refuses_a_non_unitriangular_table(self):
+        sph = SphericalHecke(catalog("PGL(2)"))
+        sph.k0._stalk_perturbation = {((2,), (2,)): LaurentPoly.q()}
+        with pytest.raises(HeckeError, match="not unitriangular"):
+            sph.to_ic_basis(sph.c((2,)))
 
 
 class TestTransform:

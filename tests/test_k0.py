@@ -228,3 +228,22 @@ class TestWorkCounts:
         for x, y, expected in cases:
             assert k0.convolve(x, y) == expected
         assert counts == {"convolve_ic": 0, "bilinear": 0}
+
+    @pytest.mark.parametrize("name", ["GL(2)", "SL(3)", "Sp(4)"])
+    def test_convolve_pairs_each_factor_weight_once(self, monkeypatch, name):
+        """<2rho, -> of a factor weight is taken once per class of x and of
+        y, not once per pair; each constituent still takes one."""
+        rd = catalog(name)
+        k0 = SatakeK0(rd)
+        rng = random.Random(29)
+        reps = rdm.dominant_reps(rd, 4)
+        x, y = (LinComb((ICClass(rng.choice(reps), rng.randrange(-1, 2)), ONE) for _ in range(4))
+                for _ in range(2))
+        expected = k0.convolve(x, y)
+        constituents = sum(len(k0.R.tensor_decompose(a.mu, b.mu)) for a in x.keys() for b in y.keys())
+        calls = []
+        d_pairing = rdm.d_pairing
+        monkeypatch.setattr(rdm, "d_pairing", lambda rd, v: calls.append(v) or d_pairing(rd, v))
+        assert k0.convolve(x, y) == expected
+        assert len(calls) == len(x) + len(y) + constituents
+

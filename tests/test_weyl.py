@@ -180,6 +180,7 @@ class TestOneRootTests:
 
     @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
     def test_right_ascent_matches_lengths(self, name):
+        """The length flag of ``step``, the one ``IwahoriHecke.mul`` reads."""
         rd = catalog(name)
         W = affine_weyl_group(rd)
         for lam in box(rd, 3 if rd.rank <= 3 else 2):
@@ -187,17 +188,21 @@ class TestOneRootTests:
                 x = AffineWeylElement(lam, w)
                 lx = W.im_length(x)
                 for i, s in enumerate(W.simple_refs):
-                    assert W.right_ascent(x, i) == (W.im_length(W.mul(x, s)) > lx), (x, i)
+                    _, up = W.step((lam, w.index), i)
+                    assert up == (W.im_length(W.mul(x, s)) > lx), (x, i)
 
     @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
     def test_mul_simple_matches_mul(self, name):
+        """The key of x s_i from ``step``, against the affine product."""
         rd = catalog(name)
         W = affine_weyl_group(rd)
         for lam in box(rd, 3 if rd.rank <= 3 else 2):
             for w in W.W0.elements:
                 x = AffineWeylElement(lam, w)
                 for i, s in enumerate(W.simple_refs):
-                    assert W.mul_simple(x, i) == W.mul(x, s), (x, i)
+                    xs = W.mul(x, s)
+                    (mu, k), _ = W.step((lam, w.index), i)
+                    assert (mu, W.W0.elements[k]) == (xs.translation, xs.finite), (x, i)
 
     @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
     def test_reduced_word_matches_left_greedy(self, name):
