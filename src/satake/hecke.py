@@ -13,7 +13,7 @@ from functools import lru_cache
 from . import root_datum as rdm
 from .k0 import ICClass, SatakeK0
 from .lattices import Vec, zero_vec
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE, LaurentPoly, add_product
 from .linear import LinComb
 from .rep_ring import g1_class, g1_ring
 from .root_datum import RootDatum
@@ -96,12 +96,9 @@ class IwahoriHecke:
                             to_w[e] = to_w.get(e, 0) - c
                 cur = nxt
             for key, poly in cur.items():
-                out = acc.setdefault(key, {})
-                for e1, c1 in poly.items():
-                    for e2, c2 in p.terms:
-                        out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+                add_product(acc.setdefault(key, {}), poly.items(), p.terms)
         elements = W.W0.elements
-        return LinComb((AffineWeylElement(lam, elements[k]), LaurentPoly._from_dict(poly))
+        return LinComb((AffineWeylElement(lam, elements[k]), LaurentPoly.of_dict(poly))
                        for (lam, k), poly in acc.items() if any(poly.values()))
 
 
@@ -256,14 +253,11 @@ class SphericalHecke:
             if guard > 10000:
                 raise HeckeError("basis change did not terminate")
             mu = max(remaining, key=lambda v: (rdm.d_pairing(self.rd, v), v))
-            lead = LaurentPoly._from_dict(remaining[mu])
-            a = lead if self.k0.sign(mu) == 1 else lead.scale(-1)
+            lead = LaurentPoly.of_dict(remaining[mu])
+            a = lead if self.k0.sign(mu) == 1 else -lead
             out.append((ICClass(mu, 0), a))
             for lam, h in self.k0.ic_function(mu).items():
-                acc = remaining.setdefault(lam, {})
-                for e1, c1 in h.terms:
-                    for e2, c2 in a.terms:
-                        acc[e1 + e2] = acc.get(e1 + e2, 0) - c1 * c2
+                acc = add_product(remaining.setdefault(lam, {}), h.terms, a.terms, -1)
                 if not any(acc.values()):
                     del remaining[lam]
             if mu in remaining:

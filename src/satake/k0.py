@@ -60,37 +60,28 @@ class SatakeK0:
 
     # -- convolution ---------------------------------------------------
 
-    def _constituents(self, a: ICClass, b: ICClass, d_ab: int):
-        """(class, multiplicity) for each tensor constituent nu of a * b,
-        with the unique Tate twist forced by purity-weight additivity;
-        d_ab = <2rho, a.mu> + <2rho, b.mu>."""
-        n_ab = a.n + b.n
-        for nu, mult in self.R.tensor_decompose(a.mu, b.mu).items():
-            offset = rdm.d_pairing(self.rd, nu) - d_ab
-            if offset % 2 != 0:
-                raise K0Error(f"non-integral twist for constituent {nu}")
-            yield ICClass(nu, n_ab + offset // 2), mult
-
-    def convolve_ic(self, a: ICClass, b: ICClass) -> LinComb:
-        """Convolution of basis classes."""
-        d_ab = rdm.d_pairing(self.rd, a.mu) + rdm.d_pairing(self.rd, b.mu)
-        return LinComb((cls, LaurentPoly.const(mult)) for cls, mult in self._constituents(a, b, d_ab))
-
     def convolve(self, x: LinComb, y: LinComb) -> LinComb:
-        """Convolution extended bilinearly; each coefficient product is
-        formed once per pair of classes and scaled by the multiplicities,
-        and <2rho, -> of each factor weight once per class."""
+        """Convolution extended bilinearly: each tensor constituent nu of
+        classes a, b, of multiplicity N, adds N p_a p_b IC_nu(a.n + b.n + t),
+        with the twist t forced by purity-weight additivity."""
         right = [(b, r, rdm.d_pairing(self.rd, b.mu)) for b, r in y.items()]
 
         def terms():
             for a, p in x.items():
                 d_a = rdm.d_pairing(self.rd, a.mu)
                 for b, r, d_b in right:
-                    pr = p * r
-                    for cls, mult in self._constituents(a, b, d_a + d_b):
-                        yield cls, pr.scale(mult)
+                    n_ab, d_ab = a.n + b.n, d_a + d_b
+                    for nu, mult in self.R.tensor_decompose(a.mu, b.mu).items():
+                        offset = rdm.d_pairing(self.rd, nu) - d_ab
+                        if offset % 2 != 0:
+                            raise K0Error(f"non-integral twist for constituent {nu}")
+                        yield ICClass(nu, n_ab + offset // 2), p, r, mult
 
-        return LinComb(terms())
+        return LinComb.of_products(terms())
+
+    def convolve_ic(self, a: ICClass, b: ICClass) -> LinComb:
+        """Convolution of basis classes."""
+        return self.convolve(LinComb.unit(a), LinComb.unit(b))
 
     # -- stalk polynomials and the trace map ---------------------------
 
@@ -121,13 +112,8 @@ class SatakeK0:
         if base is None:
             mu = rdm.assert_dominant(self.rd, mu)
             sigma = self.sign(mu)
-            terms = []
-            for lam in rdm.dominant_below(self.rd, mu):
-                h = self.stalk_polynomial(mu, lam)
-                if h.is_zero():
-                    continue
-                terms.append((lam, h.scale(sigma)))
-            base = LinComb(terms)
+            stalks = ((lam, self.stalk_polynomial(mu, lam)) for lam in rdm.dominant_below(self.rd, mu))
+            base = LinComb((lam, h if sigma == 1 else -h) for lam, h in stalks)
             self._ic_fn_cache[mu] = base
         return base
 
@@ -136,8 +122,8 @@ class SatakeK0:
         n on IC_mu contributes the factor q^-n.  Twists are folded by mu
         first, so each ic_function is expanded once per mu."""
         folded = LinComb((cls.mu, p.shift(-cls.n)) for cls, p in x.items())
-        return LinComb((lam, h * p) for mu, p in folded.items()
-                       for lam, h in self.ic_function(mu).items())
+        return LinComb.of_products((lam, h, p, 1) for mu, p in folded.items()
+                                   for lam, h in self.ic_function(mu).items())
 
     # -- parity / positivity reporting ---------------------------------
 

@@ -90,7 +90,6 @@ def column_hnf(columns: tuple[Vec, ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ..
             u[j][i] = -u[j][i]
 
     pivot_col = 0
-    pivot_rows = []
     for row in range(m):
         # Euclid among columns >= pivot_col at this row.
         while True:
@@ -115,7 +114,6 @@ def column_hnf(columns: tuple[Vec, ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ..
             f = cols[j][row] // pv
             if f:
                 colop_sub(j, pivot_col, f)
-        pivot_rows.append(row)
         pivot_col += 1
         if pivot_col == n:
             break

@@ -2,6 +2,9 @@
 
 Exponents may be negative.  All arithmetic is exact; there is no floating
 point anywhere in this package.
+
+Every coefficient product in the package is formed by ``add_product``,
+into an ``{exponent: coefficient}`` dict of ints that ``of_dict`` reads.
 """
 from __future__ import annotations
 
@@ -39,8 +42,9 @@ class LaurentPoly:
         return p
 
     @classmethod
-    def _from_dict(cls, acc: dict[int, int]) -> "LaurentPoly":
-        """The polynomial of an {exponent: coefficient} accumulator of ints."""
+    def of_dict(cls, acc: dict[int, int]) -> "LaurentPoly":
+        """The polynomial of an {exponent: coefficient} dict of ints, such
+        as an ``add_product`` accumulator; zero coefficients are dropped."""
         return cls._canonical(tuple(sorted(t for t in acc.items() if t[1])))
 
     # -- constructors -------------------------------------------------
@@ -52,10 +56,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls(((0, 1),))
-
-    @classmethod
-    def const(cls, n: int) -> "LaurentPoly":
-        return cls(((0, n),))
 
     @classmethod
     def q(cls, k: int = 1, coeff: int = 1) -> "LaurentPoly":
@@ -92,7 +92,7 @@ class LaurentPoly:
         acc = dict(self._terms)
         for e, c in other._terms:
             acc[e] = acc.get(e, 0) + c
-        return LaurentPoly._from_dict(acc)
+        return LaurentPoly.of_dict(acc)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._canonical(tuple((e, -c) for e, c in self._terms))
@@ -101,12 +101,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        acc: dict[int, int] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly._from_dict(acc)
+        return LaurentPoly.of_dict(add_product({}, self._terms, other._terms))
 
     def scale(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int):
@@ -186,6 +181,18 @@ class LaurentPoly:
 
     def to_json(self) -> dict[str, int]:
         return {str(e): c for e, c in self._terms}
+
+
+def add_product(acc: dict[int, int], p: Iterable[tuple[int, int]],
+                r: Iterable[tuple[int, int]], n: int = 1) -> dict[int, int]:
+    """acc += n * p * r, for (exponent, coefficient) pairs p and r (r is
+    read once per term of p) and an {exponent: coefficient} dict acc."""
+    for e1, c1 in p:
+        c1 *= n
+        for e2, c2 in r:
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return acc
 
 
 ZERO = LaurentPoly.zero()

@@ -4,18 +4,19 @@ A ``LinComb`` is a finitely supported map from hashable basis keys to
 ``LaurentPoly`` scalars.  Zero scalars are never stored, so equality is
 key-wise exact equality.
 
-Build sums by passing a term stream to the constructor, never by a loop
-of ``+``: a sum is one call over a generator of ``(key, scalar)`` pairs.
-The constructor keeps the first scalar of a key as it is; a repeated key
-is merged into one ``{exponent: coefficient}`` integer dict, and each
-merged polynomial is built once, when the stream ends.
+Build sums by passing a term stream to a constructor, never by a loop
+of ``+``: a sum is one ``LinComb`` call over ``(key, scalar)`` pairs, and
+a sum of products (every bilinear product) one ``LinComb.of_products``
+call over ``(key, p, r, n)`` terms for ``n * p * r``, which
+``laurent.add_product`` adds into one integer dict per key.  Either way a
+key's polynomial is built once, when the stream ends.
 """
 from __future__ import annotations
 
 from itertools import chain
 from typing import Callable, Hashable, Iterable
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, add_product
 
 
 class LinComb:
@@ -42,13 +43,21 @@ class LinComb:
                 prev[e] = prev.get(e, 0) + c
         out = {}
         for k, v in acc.items():
-            p = LaurentPoly._from_dict(v) if type(v) is dict else v
+            p = LaurentPoly.of_dict(v) if type(v) is dict else v
             if p:
                 out[k] = p
         object.__setattr__(self, "_coeffs", out)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinComb is immutable")
+
+    @classmethod
+    def of_products(cls, terms: Iterable[tuple[Hashable, LaurentPoly, LaurentPoly, int]]) -> "LinComb":
+        """The sum of n * p * r * key over ``(key, p, r, n)`` terms, int n."""
+        acc: dict = {}
+        for k, p, r, n in terms:
+            add_product(acc.setdefault(k, {}), p.terms, r.terms, n)
+        return cls((k, LaurentPoly.of_dict(v)) for k, v in acc.items())
 
     @classmethod
     def zero(cls) -> "LinComb":
@@ -84,18 +93,6 @@ class LinComb:
 
     def scale(self, scalar: LaurentPoly) -> "LinComb":
         return LinComb((k, p * scalar) for k, p in self._coeffs.items())
-
-    def bilinear(self, other: "LinComb", key_mul: Callable[[Hashable, Hashable], "LinComb"]) -> "LinComb":
-        """Extend a key-level product bilinearly over the coefficients;
-        each coefficient product p1 * p2 is formed once per key pair."""
-        def terms():
-            for k1, p1 in self._coeffs.items():
-                for k2, p2 in other._coeffs.items():
-                    p12 = p1 * p2
-                    for k, p in key_mul(k1, k2).items():
-                        yield k, p * p12
-
-        return LinComb(terms())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinComb) and self._coeffs == other._coeffs

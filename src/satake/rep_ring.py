@@ -232,13 +232,11 @@ class G1Ring:
         return LinComb.unit(G1RepClass(zero_vec(self.rd.rank), 0))
 
     def mul(self, a: LinComb, b: LinComb) -> LinComb:
-        def key_mul(x: G1RepClass, y: G1RepClass) -> LinComb:
-            out = []
-            for nu, n in self.R.tensor_decompose(x.mu, y.mu).items():
-                cls = g1_class(self.rd, nu, k=x.k + y.k)
-                out.append((cls, LaurentPoly.const(n)))
-            return LinComb(out)
-        return a.bilinear(b, key_mul)
+        """The product: each tensor constituent nu of a pair of classes,
+        with multiplicity N, gains N p r at central weight x.k + y.k."""
+        return LinComb.of_products((g1_class(self.rd, nu, k=x.k + y.k), p, r, n)
+                                   for x, p in a.items() for y, r in b.items()
+                                   for nu, n in self.R.tensor_decompose(x.mu, y.mu).items())
 
     def quotient_normal_form(self, x: LinComb) -> LinComb:
         """Rewrite every key to central weight in {0, 1}, trading central

@@ -217,7 +217,23 @@ def product(a: RootDatum, b: RootDatum) -> RootDatum:
 
 
 _DUAL_NAMES = {"GL": "GL", "SL": "PGL", "PGL": "SL", "Sp": "SO", "SO": "Sp", "torus": "torus"}
-_CATALOG_RE = re.compile(r"^(GL|SL|PGL|Sp|SO|torus)\((\d+)\)$")
+# at most nine ASCII digits, so that int() never meets an over-long string
+_CATALOG_RE = re.compile(r"^(GL|SL|PGL|Sp|SO|torus)\(([0-9]{1,9})\)$")
+
+# a name of rank above this is refused before any matrix is built; W_0 has
+# its own bound, weyl.MAX_W0_ORDER (weyl imports this module)
+MAX_RANK = 20
+
+
+def _named_rank(name: str) -> int:
+    """The rank a catalog name describes; unknown parts count 0, Sp/SO 2."""
+    rank = 0
+    for part in name.split("*"):
+        m = _CATALOG_RE.match(part.strip())
+        if m:
+            fam, num = m.group(1), int(m.group(2))
+            rank += {"GL": num, "torus": num, "SL": num - 1, "PGL": num - 1}.get(fam, 2)
+    return rank
 
 
 @lru_cache(maxsize=None)
@@ -225,6 +241,9 @@ def catalog(name: str) -> RootDatum:
     """Look up a group by name, e.g. ``GL(2)``, ``SL(3)``, ``PGL(2)``,
     ``Sp(4)``, ``SO(5)``, ``torus(1)``, or a product ``GL(2)*torus(1)``."""
     name = name.strip()
+    rank = _named_rank(name)
+    if rank > MAX_RANK:
+        raise RootDatumError(f"{name!r} has rank {rank}, above the bound {MAX_RANK}")
     if "*" in name:
         parts = name.split("*")
         rd = catalog(parts[0])
@@ -353,16 +372,15 @@ def epsilon_value(rd: RootDatum, lam: Vec) -> int:
 
 
 def g1_data(rd: RootDatum) -> G1Data:
-    e = lattices.identity_matrix(rd.rank)
-    trivial = all(epsilon_value(rd, e[j]) == 1 for j in range(rd.rank))
+    # epsilon(e_j) = (-1)^<2rho, e_j> on the basis vectors e_j
+    trivial = all(c % 2 == 0 for c in rd.two_rho_row)
     return G1Data(dual_datum=dual(rd), epsilon_trivial=trivial, direct_product=trivial)
 
 
 def g1_description(rd: RootDatum) -> str:
-    """Human-readable structure of the modified dual group."""
-    data = g1_data(rd)
-    dname = data.dual_datum.name
-    if data.direct_product:
+    """Human-readable structure of the modified dual group; builds no dual."""
+    dname = _dual_name(rd.name)
+    if all(c % 2 == 0 for c in rd.two_rho_row):
         return f"{dname} x GL(1) (direct product)"
     if dname == "SL(2)":
         # (SL(2) x GL(1)) / mu_2 glued along the center is GL(2)

@@ -33,7 +33,10 @@ algorithm than the library uses, so agreement is meaningful:
   found in closed form);
 * lattice indices by brute-force coset enumeration, with membership
   decided by Cramer's rule over Leibniz determinants (the library uses
-  Hermite normal forms and Bareiss elimination).
+  Hermite normal forms and Bareiss elimination);
+* bilinear products from a key-level product, one polynomial product
+  per term (the library adds every coefficient product into one integer
+  accumulator per key with ``LinComb.of_products``).
 
 It also holds small constructors that only the tests need (a Weyl
 dimension, a class element, a Poincare polynomial, the embedding of W_0
@@ -53,6 +56,13 @@ from satake.linear import LinComb
 from satake.rep_ring import g1_class
 from satake.root_datum import RootDatum
 from satake.weyl import AffineWeylElement, affine_weyl_group
+
+
+def bilinear(x: LinComb, y: LinComb, key_mul) -> LinComb:
+    """x * y for a key-level product ``key_mul(k1, k2) -> LinComb``,
+    extended bilinearly with plain ``LaurentPoly`` arithmetic."""
+    return LinComb((k, p1 * p2 * p) for k1, p1 in x.items() for k2, p2 in y.items()
+                   for k, p in key_mul(k1, k2).items())
 
 
 def weyl_dim(R, mu) -> int:

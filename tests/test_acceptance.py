@@ -18,7 +18,7 @@ from satake.laurent import ONE
 from satake.rep_ring import G1RepClass
 from satake.verify import dominant_pairs
 
-from oracles import FreudenthalOracle
+from oracles import FreudenthalOracle, bilinear
 
 # (group, bound on d) cells of the cross-path sweep
 CROSS_PATH_CELLS = [("GL(2)", 8), ("PGL(2)", 8), ("SL(2)", 8), ("SL(3)", 8), ("Sp(4)", 8),
@@ -131,7 +131,7 @@ def test_criterion_06_gl2_convolution(capsys):
     # trace identity against path-1 multiplication of the f-functions
     f = sph.k0.ic_function((1, 0))
     lhs = sph.k0.trace_to_hecke(conv)
-    rhs = f.bilinear(f, sph.c_mul_iwahori)
+    rhs = bilinear(f, f, sph.c_mul_iwahori)
     assert lhs == rhs
     report(capsys, 6, True,
            "IC_(1,0)^2 = IC_(2,0)(0) + IC_(1,1)(-1) and its trace matches the "

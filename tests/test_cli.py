@@ -1,17 +1,22 @@
 """Command-line surface: table/JSON output, schema conformance, exit
 codes, environment-variable overrides, and byte-level determinism."""
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satake.cli import main
+from satake.root_datum import MAX_RANK
 
 SRC_DIR = Path(__file__).parent.parent / "src"
 SCHEMA_DIR = SRC_DIR / "satake" / "schemas"
@@ -160,6 +165,80 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestRankBound:
+    """A group whose rank is above ``MAX_RANK`` is refused from its name,
+    before any matrix is built."""
+
+    @pytest.mark.parametrize("group", ["GL(1000)", "torus(100000)",
+                                       f"torus({MAX_RANK + 1})", "GL(10)*SL(12)"])
+    @pytest.mark.parametrize("command", ["describe", "satake-table"])
+    def test_refused_at_once(self, capsys, command, group):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--group", group)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"above the bound {MAX_RANK}" in err
+
+    def test_bound_itself_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "describe", "--group", f"torus({MAX_RANK})")
+        assert code == 0
+        assert f"(rank {MAX_RANK})" in out
+
+
+FAMILY_NAMES = ["GL(1)", "GL(2)", "GL(3)", "SL(2)", "SL(3)", "PGL(2)", "PGL(3)",
+                "Sp(4)", "SO(5)", "torus(1)", "torus(2)"]
+# the last name has more digits than int() converts
+OUT_OF_RANGE_NAMES = ["GL(0)", "SL(0)", "SL(1)", "PGL(1)", "Sp(2)", "Sp(6)", "SO(3)",
+                      "SO(7)", "torus(0)", f"GL({MAX_RANK + 1})", "torus(100000)",
+                      "E(8)", "GL(2", "gl(2)", "", f"GL({'9' * 5000})"]
+# comma strings: decreasing weights (dominant for GL), small integers, or
+# entries that may not parse
+COMMA_TEXT = st.one_of(
+    st.lists(st.integers(0, 2), min_size=1, max_size=3).map(
+        lambda v: [str(c) for c in sorted(v, reverse=True)]),
+    st.lists(st.integers(-1, 3).map(str), max_size=5),
+    st.lists(st.sampled_from(["0", "1", "2", "-1", "3", "", "x", " 1", "e"]), max_size=4),
+).map(",".join)
+
+
+@st.composite
+def argvs(draw):
+    """One satake command line: any subcommand, a catalog or malformed
+    group (products included), small bounds and weights, both flags."""
+    names = st.sampled_from(FAMILY_NAMES)
+    group = draw(st.one_of(names, st.sampled_from(OUT_OF_RANGE_NAMES),
+                           st.tuples(names, names).map("*".join)))
+    command = draw(st.sampled_from(["describe", "hecke-mul", "ic-convolve",
+                                    "satake-table", "verify"]))
+    argv = [command, "--group", group, "--bound", str(draw(st.integers(0, 6)))]
+    if command == "hecke-mul":
+        argv += draw(st.lists(st.one_of(COMMA_TEXT, st.just("e")), min_size=1, max_size=3))
+    elif command == "ic-convolve":
+        argv += ["--mu", draw(COMMA_TEXT), "--lam", draw(COMMA_TEXT),
+                 "--n", str(draw(st.integers(-2, 2)))]
+    elif command == "verify" and draw(st.booleans()):
+        argv.append("--inject-fault")
+    argv += [flag for flag in ("--json", "--signed-trace") if draw(st.booleans())]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(argvs())
+    def test_exit_code_and_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert err == "", (argv, err)
 
 
 class TestVerify:

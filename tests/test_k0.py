@@ -2,15 +2,16 @@
 twist rule, purity bookkeeping, stalk polynomials, and the trace map."""
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import satake.root_datum as rdm
-from satake import LaurentPoly, LinComb, catalog
+from satake import LaurentPoly, LinComb, catalog, g1_class, g1_ring
 from satake.k0 import ICClass, K0Error, SatakeK0, ic_class, purity_weight
 from satake.laurent import ONE
 
-from oracles import weyl_dim
+from oracles import bilinear, weyl_dim
 
 
 def P(*terms):
@@ -199,8 +200,8 @@ def test_repr():
 class TestWorkCounts:
     @pytest.mark.parametrize("name", ["GL(2)", "SL(3)", "Sp(4)"])
     def test_convolve_builds_no_per_pair_combination(self, monkeypatch, name):
-        """convolve equals the bilinear extension of convolve_ic, yet calls
-        neither convolve_ic nor LinComb.bilinear."""
+        """convolve equals the bilinear extension of convolve_ic, yet never
+        calls convolve_ic."""
         rd = catalog(name)
         k0 = SatakeK0(rd)
         rng = random.Random(23)
@@ -210,24 +211,60 @@ class TestWorkCounts:
             return LinComb((ICClass(rng.choice(reps), rng.randrange(-1, 2)),
                             P((rng.randrange(-2, 3), rng.randrange(1, 4)))) for _ in range(3))
 
-        cases = [(x, y, x.bilinear(y, k0.convolve_ic))
+        cases = [(x, y, bilinear(x, y, k0.convolve_ic))
                  for x, y in ((element(), element()) for _ in range(5))]
-        counts = {"convolve_ic": 0, "bilinear": 0}
-        convolve_ic, bilinear = SatakeK0.convolve_ic, LinComb.bilinear
-
-        def counted_convolve_ic(self, a, b):
-            counts["convolve_ic"] += 1
-            return convolve_ic(self, a, b)
-
-        def counted_bilinear(self, other, key_mul):
-            counts["bilinear"] += 1
-            return bilinear(self, other, key_mul)
-
-        monkeypatch.setattr(SatakeK0, "convolve_ic", counted_convolve_ic)
-        monkeypatch.setattr(LinComb, "bilinear", counted_bilinear)
+        calls = []
+        convolve_ic = SatakeK0.convolve_ic
+        monkeypatch.setattr(SatakeK0, "convolve_ic",
+                            lambda self, a, b: calls.append((a, b)) or convolve_ic(self, a, b))
         for x, y, expected in cases:
             assert k0.convolve(x, y) == expected
-        assert counts == {"convolve_ic": 0, "bilinear": 0}
+        assert calls == []
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("name", ["GL(2)", "SL(3)", "Sp(4)", "Sp(4)*SL(2)"])
+    def test_sums_of_products_form_no_polynomial_product(self, monkeypatch, name, signed):
+        """convolve, trace_to_hecke and G1Ring.mul add every coefficient
+        product into one integer accumulator per key: on multi-term inputs
+        they call neither LaurentPoly.__mul__ nor LaurentPoly.scale, and
+        they equal the plain polynomial arithmetic of oracles.bilinear."""
+        rd = catalog(name)
+        k0 = SatakeK0(rd, signed_trace=signed)
+        g1 = g1_ring(rd)
+        rng = random.Random(31)
+        reps = rdm.dominant_reps(rd, 4)
+
+        def poly():
+            return P(*((rng.randrange(-2, 3), rng.choice((-2, -1, 1, 3))) for _ in range(2)))
+
+        def element(key):
+            return LinComb((key(rng.choice(reps), rng.randrange(-1, 2)), poly()) for _ in range(4))
+
+        def g1_key_mul(x, y):
+            return LinComb((g1_class(rd, nu, k=x.k + y.k), LaurentPoly(((0, n),)))
+                           for nu, n in k0.R.tensor_decompose(x.mu, y.mu).items())
+
+        def trace_of_class(cls, _):
+            return k0.ic_function(cls.mu).scale(LaurentPoly.q(-cls.n))
+
+        unit = LinComb.unit(None)
+        cases = []
+        for _ in range(4):
+            x, y = element(ICClass), element(ICClass)
+            a, b = (element(lambda mu, n: g1_class(rd, mu, n=n)) for _ in range(2))
+            cases += [(k0.convolve, (x, y), bilinear(x, y, k0.convolve_ic)),
+                      (k0.trace_to_hecke, (x,), bilinear(x, unit, trace_of_class)),
+                      (g1.mul, (a, b), bilinear(a, b, g1_key_mul))]
+        assert any(len(expected) > 1 for _, _, expected in cases)
+        counts = Counter()
+        mul, scale = LaurentPoly.__mul__, LaurentPoly.scale
+        monkeypatch.setattr(LaurentPoly, "__mul__",
+                            lambda p, r: counts.update(["__mul__"]) or mul(p, r))
+        monkeypatch.setattr(LaurentPoly, "scale",
+                            lambda p, n: counts.update(["scale"]) or scale(p, n))
+        for f, args, expected in cases:
+            assert f(*args) == expected
+        assert counts == Counter()
 
     @pytest.mark.parametrize("name", ["GL(2)", "SL(3)", "Sp(4)"])
     def test_convolve_pairs_each_factor_weight_once(self, monkeypatch, name):

@@ -1,17 +1,19 @@
 """Free-module combinations with Laurent scalars: linearity contracts,
-merging of repeated keys, and the bilinear extension of key-level
-products."""
+merging of repeated keys, sums of products, and the bilinear extension
+of key-level products that the tests use as a reference."""
 import pytest
 from hypothesis import given, strategies as st
 
 from satake import LaurentPoly, LinComb
+
+from oracles import bilinear
 
 polys = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=3).map(
     lambda d: LaurentPoly(d.items()))
 
 
 def C(n):
-    return LaurentPoly.const(n)
+    return LaurentPoly(((0, n),))
 
 
 def test_zero_scalars_dropped():
@@ -58,13 +60,23 @@ def test_scale():
     assert x.scale(LaurentPoly.q()) == LinComb.unit("a", LaurentPoly.q(1, 2))
 
 
+@given(st.lists(st.tuples(st.sampled_from("abc"), polys, polys, st.integers(-3, 3)), max_size=10))
+def test_of_products_sums_scaled_products(terms):
+    x = LinComb.of_products(terms)
+    assert x == LinComb((k, (p * r).scale(n)) for k, p, r, n in terms)
+    assert all(not p.is_zero() for _, p in x.items())
+    # every term cancelled by its negative: nothing is stored
+    cancelled = LinComb.of_products(terms + [(k, p, r, -n) for k, p, r, n in terms])
+    assert cancelled.is_zero()
+
+
 def test_bilinear_unit_key():
     x = LinComb((("a", C(2)), ("b", C(5))))
 
     def key_mul(k1, k2):
         return LinComb.unit(k1)  # right factor acts as a unit
 
-    assert x.bilinear(LinComb.unit("e"), key_mul) == x
+    assert bilinear(x, LinComb.unit("e"), key_mul) == x
 
 
 def test_bilinear_structure_constants():
@@ -75,7 +87,7 @@ def test_bilinear_structure_constants():
         assert (k1, k2) == ("k1", "k2")
         return LinComb.unit("k3")
 
-    assert x.bilinear(y, key_mul) == LinComb.unit("k3", C(6))
+    assert bilinear(x, y, key_mul) == LinComb.unit("k3", C(6))
 
 
 def test_bilinear_distributes():
@@ -84,7 +96,7 @@ def test_bilinear_distributes():
     def key_mul(k1, k2):
         return LinComb.unit(k1 + k2)
 
-    prod = x.bilinear(x, key_mul)
+    prod = bilinear(x, x, key_mul)
     assert prod == LinComb((("aa", C(1)), ("ab", C(1)), ("ba", C(1)), ("bb", C(1))))
 
 

@@ -59,6 +59,17 @@ class TestCatalog:
         with pytest.raises(RootDatumError):
             catalog("torus(0)")
 
+    @pytest.mark.parametrize("name", ["GL(21)", "torus(100000)", "SL(3)*GL(20)",
+                                      f"GL({rdm.MAX_RANK})*torus(1)"])
+    def test_rank_refused_from_the_name(self, monkeypatch, name):
+        def no_matrix(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(rdm.lattices, "identity_matrix", no_matrix)
+        monkeypatch.setattr(rdm, "make_root_datum", no_matrix)
+        with pytest.raises(RootDatumError, match=f"above the bound {rdm.MAX_RANK}"):
+            catalog(name)
+
     def test_validation_roots_pair_to_two(self):
         for name in CATALOG:
             rd = catalog(name)

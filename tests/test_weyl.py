@@ -179,7 +179,7 @@ class TestOneRootTests:
     """The one-root shortcuts against the Iwahori-Matsumoto length itself."""
 
     @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
-    def test_right_ascent_matches_lengths(self, name):
+    def test_step_flag_matches_lengths(self, name):
         """The length flag of ``step``, the one ``IwahoriHecke.mul`` reads."""
         rd = catalog(name)
         W = affine_weyl_group(rd)
@@ -192,7 +192,7 @@ class TestOneRootTests:
                     assert up == (W.im_length(W.mul(x, s)) > lx), (x, i)
 
     @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
-    def test_mul_simple_matches_mul(self, name):
+    def test_step_matches_mul(self, name):
         """The key of x s_i from ``step``, against the affine product."""
         rd = catalog(name)
         W = affine_weyl_group(rd)
