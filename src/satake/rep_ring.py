@@ -16,7 +16,6 @@ from .lattices import Vec, vadd, vsub, zero_vec
 from .laurent import LaurentPoly
 from .linear import LinComb
 from .root_datum import RootDatum
-from .weyl import affine_weyl_group, finite_weyl_group
 
 
 class RepRingError(RuntimeError):
@@ -28,9 +27,7 @@ class RepRing:
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
-        self.W0 = finite_weyl_group(rd)
         self._kostant_cache: dict[tuple, LaurentPoly] = {}
-        self._partition_cache: dict[Vec, LaurentPoly] = {}
         self._char_cache: dict[Vec, dict[Vec, int]] = {}
         self._tensor_cache: dict[tuple[Vec, Vec], dict[Vec, int]] = {}
 
@@ -38,18 +35,11 @@ class RepRing:
 
     def kostant_partition(self, v: Vec) -> LaurentPoly:
         """Sum over multisets of positive coroots with sum v of
-        q^(multiset size); zero if v is not a nonnegative combination.
-        One coroot solve per vector: the result is kept by v."""
-        v = tuple(v)
-        cached = self._partition_cache.get(v)
-        if cached is None:
-            coords = rdm.coroot_coords(self.rd, v)
-            if coords is None or any(c < 0 for c in coords):
-                cached = LaurentPoly.zero()
-            else:
-                cached = self._kostant_graded(coords, 0)
-            self._partition_cache[v] = cached
-        return cached
+        q^(multiset size); zero if v is not a nonnegative combination."""
+        coords = rdm.coroot_coords(self.rd, v)
+        if coords is None or any(c < 0 for c in coords):
+            return LaurentPoly.zero()
+        return self._kostant_graded(coords, 0)
 
     def _kostant_graded(self, coords: tuple[int, ...], i: int) -> LaurentPoly:
         if not any(coords):
@@ -82,22 +72,27 @@ class RepRing:
         sum_w (-1)^l(w) P(w(mu + rho_hat) - (lam + rho_hat)); evaluates at
         q=1 to weight_multiplicity(mu, lam), and equals 1 when lam = mu.
 
-        rho_hat (half-sum of positive coroots) may be half-integral, so
-        everything is computed in doubled coordinates.
-        """
-        mu = rdm.assert_dominant(self.rd, mu)
-        two_rho_hat = self.rd.two_rho_hat()
-        dbl_mu = vadd(lattices.vscale(2, mu), two_rho_hat)
-        dbl_lam = vadd(lattices.vscale(2, tuple(lam)), two_rho_hat)
-
-        def halved(w) -> Vec:
-            u = vsub(w.apply_cochar(dbl_mu), dbl_lam)
-            if any(c % 2 for c in u):
-                raise RepRingError("odd doubled coordinate in Kostant sum")
-            return tuple(c // 2 for c in u)
-
-        return LaurentPoly((e, -c if w.length % 2 else c) for w in self.W0.elements
-                           for e, c in self.kostant_partition(halved(w)).terms)
+        Only the w with c >= 0 contribute, c the simple-coroot coordinates
+        of (w v - 2(lam + rho_hat)) / 2 for v = 2(mu + rho_hat).  They form
+        a lower set (a left descent s_i of w adds a positive multiple of
+        alpha_i^ to w v), walked up from e, where c is that of mu - lam, by
+        length: s_i w for p = <alpha_i, w v> > 0 lowers c_i by p/2, an
+        integer as <beta, 2rho_hat> = 2 ht(beta); v is regular, so w v
+        keys w."""
+        rd = self.rd
+        mu = rdm.assert_dominant(rd, mu)
+        coords = rdm.coroot_coords(rd, vsub(mu, tuple(lam)))
+        if coords is None or any(c < 0 for c in coords):
+            return LaurentPoly.zero()
+        level = {vadd(lattices.vscale(2, mu), rd.two_rho_hat()): coords}
+        terms, sign = [], 1
+        while level:
+            terms += ((e, sign * k) for c in level.values()
+                      for e, k in self._kostant_graded(c, 0).terms)
+            level = {y: c[:i] + (c[i] - p // 2,) + c[i + 1:] for x, c in level.items()
+                     for i, p, y in _descents(rd, x) if c[i] >= p // 2}
+            sign = -sign
+        return LaurentPoly(terms)
 
     def weight_multiplicity(self, mu: Vec, lam: Vec) -> int:
         """Dimension of the lam weight space of the irreducible dual-group
@@ -117,13 +112,10 @@ class RepRing:
             return cached
         mu = rdm.assert_dominant(self.rd, mu)
         char: dict[Vec, int] = {}
-        aw = affine_weyl_group(self.rd)
         for lam in rdm.dominant_below(self.rd, mu):
             m = self.weight_multiplicity(mu, lam)
-            if m == 0:
-                continue
-            for nu in aw.orbit(lam):
-                char[nu] = m
+            if m:
+                char.update(dict.fromkeys(orbit(self.rd, lam), m))
         self._char_cache[mu] = char
         return char
 
@@ -162,6 +154,24 @@ class RepRing:
                 result[nu] = n
         self._tensor_cache[(mu, lam)] = self._tensor_cache[(lam, mu)] = result
         return result
+
+
+def _descents(rd: RootDatum, x: Vec):
+    """(i, p, s_i x = x - p alpha_i^) for each p = <alpha_i, x> > 0."""
+    for i, (row, coroot) in enumerate(zip(rd.simple_root_rows, rd.simple_coroots)):
+        p = sum(r * c for r, c in zip(row, x))
+        if p > 0:
+            yield i, p, tuple(c - p * a for c, a in zip(x, coroot))
+
+
+def orbit(rd: RootDatum, lam: Vec) -> list[Vec]:
+    """The W_0-orbit w lam of a dominant lam, by the length of w minimal in
+    w W_lam: length k + 1 gives the s_i nu, <alpha_i, nu> > 0, of length k."""
+    level, found = {tuple(lam)}, []
+    while level:
+        found += sorted(level)
+        level = {x for nu in level for _, _, x in _descents(rd, nu)}
+    return found
 
 
 def _straighten(rd: RootDatum, x: Vec) -> tuple[Vec, bool] | None:

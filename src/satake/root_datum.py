@@ -50,7 +50,7 @@ class RootDatum:
 
     def pair(self, chi: Vec, lam: Vec) -> int:
         """The bilinear pairing <chi, lam> of a character with a cocharacter."""
-        return _pair(self.pairing, chi, lam)
+        return sum(c * sum(p * x for p, x in zip(row, lam)) for c, row in zip(chi, self.pairing))
 
     @property
     def semisimple_rank(self) -> int:
@@ -82,11 +82,7 @@ class RootDatum:
         return f"RootDatum({self.name})"
 
 
-def _pair(pairing, chi, lam) -> int:
-    return sum(c * sum(p * x for p, x in zip(row, lam)) for c, row in zip(chi, pairing))
-
-
-def _saturate_positives(pairing, simple_roots, simple_coroots):
+def _saturate_positives(pairing, simple_roots, simple_coroots, simple_root_rows):
     """Close the simple (root, coroot) pairs under simple reflections,
     keeping those in the nonnegative cone of simple roots.
 
@@ -94,6 +90,7 @@ def _saturate_positives(pairing, simple_roots, simple_coroots):
     coordinates in the simple roots and in the simple coroots."""
     n = len(simple_roots)
     unit = lattices.identity_matrix(n)
+    coroot_rows = [mat_vec(pairing, av) for av in simple_coroots]  # <-, alpha_i^> on X*
     # root -> (coroot, simple-root coordinates, simple-coroot coordinates)
     items = {simple_roots[i]: (simple_coroots[i], unit[i], unit[i]) for i in range(n)}
     frontier = list(items)
@@ -103,12 +100,12 @@ def _saturate_positives(pairing, simple_roots, simple_coroots):
             bv, coeffs, co_coeffs = items[beta]
             for i in range(n):
                 # s_i beta = beta - <beta, alpha_i^> alpha_i
-                c = _pair(pairing, beta, simple_coroots[i])
+                c = sum(b * r for b, r in zip(beta, coroot_rows[i]))
                 nbeta = vsub(beta, lattices.vscale(c, simple_roots[i]))
                 ncoeffs = vsub(coeffs, lattices.vscale(c, unit[i]))
                 if all(x >= 0 for x in ncoeffs) and nbeta not in items:
                     # s_i beta^ = beta^ - <alpha_i, beta^> alpha_i^
-                    cb = _pair(pairing, simple_roots[i], bv)
+                    cb = sum(r * b for r, b in zip(simple_root_rows[i], bv))
                     nbv = vsub(bv, lattices.vscale(cb, simple_coroots[i]))
                     items[nbeta] = (nbv, ncoeffs, vsub(co_coeffs, lattices.vscale(cb, unit[i])))
                     new.append(nbeta)
@@ -127,13 +124,13 @@ def make_root_datum(name, rank, pairing, simple_roots, simple_coroots) -> RootDa
     simple_coroots = tuple(tuple(r) for r in simple_coroots)
     if len(simple_roots) != len(simple_coroots):
         raise RootDatumError("simple roots and coroots must biject")
-    pos_roots, pos_coroots, root_coords, coroot_coords = \
-        _saturate_positives(pairing, simple_roots, simple_coroots)
     cols = lattices.transpose(pairing)
+    simple_rows = tuple(mat_vec(cols, alpha) for alpha in simple_roots)
+    pos_roots, pos_coroots, root_coords, coroot_coords = \
+        _saturate_positives(pairing, simple_roots, simple_coroots, simple_rows)
     root_rows = tuple(mat_vec(cols, beta) for beta in pos_roots)
     rd = RootDatum(name, rank, pairing, simple_roots, simple_coroots, pos_roots, pos_coroots,
-                   root_coords, coroot_coords, root_rows,
-                   tuple(mat_vec(cols, alpha) for alpha in simple_roots),
+                   root_coords, coroot_coords, root_rows, simple_rows,
                    lattices.combination((1,) * len(root_rows), root_rows, rank))
     _validate(rd)
     return rd
@@ -363,12 +360,6 @@ class G1Data:
     dual_datum: RootDatum
     epsilon_trivial: bool
     direct_product: bool
-
-
-def epsilon_value(rd: RootDatum, lam: Vec) -> int:
-    """Evaluate the order-two central element on a character of the dual
-    torus (= cocharacter of T), giving +-1."""
-    return -1 if parity(rd, lam) else 1
 
 
 def g1_data(rd: RootDatum) -> G1Data:

@@ -13,6 +13,7 @@ from .k0 import ICClass, purity_weight
 from .lattices import Vec, mat_vec, vadd, vscale, zero_vec
 from .laurent import LaurentPoly
 from .linear import LinComb
+from .rep_ring import orbit
 from .root_datum import RootDatum, RootDatumError, catalog
 
 
@@ -126,7 +127,7 @@ def suite_specialization(sph: SphericalHecke, dmax: int) -> Result:
     for mu in rdm.dominant_reps(rd, dmax):
         shifted = vadd(vscale(2, mu), two_rho_hat)
         dim, rem = divmod(math.prod(mat_vec(rd.positive_root_rows, shifted)), denom)
-        total = sum(R.lusztig_q_analog(mu, lam).eval_at_one() * len(sph.W.orbit(lam))
+        total = sum(R.lusztig_q_analog(mu, lam).eval_at_one() * len(orbit(rd, lam))
                     for lam in rdm.dominant_below(rd, mu))
         if rem or total != dim:
             return ("q=1 specialization", False, f"fails at {mu}")

@@ -332,9 +332,6 @@ class AffineWeylGroup:
         flags = tuple(int(k < 0) for k in self.root_pairings(lam))
         return self.W0.inverse(self.W0.by_inverted[flags]).apply_cochar(lam)
 
-    def orbit(self, lam: Vec) -> frozenset:
-        return frozenset(w.apply_cochar(lam) for w in self.W0.elements)
-
 
 def _ascends(finite: bool, f: int, k: int) -> bool:
     """Whether l(x s_i) > l(x) for x = t_lam w, from the root alpha_j of

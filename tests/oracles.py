@@ -12,6 +12,11 @@ algorithm than the library uses, so agreement is meaningful:
   conjugate (the library straightens by simple reflections, on
   characters from Kostant's formula);
 * partition counts by literal multiset enumeration;
+* W_0-orbits as the images under every element of W_0, and Lusztig's
+  q-analogs as Kostant's alternating sum over all of W_0, one coroot
+  solve per term (the library walks down from the dominant weight by
+  simple reflections, and walks up from e through the contributing w
+  only, carrying the coordinates of one solve);
 * length-zero elements of the extended affine Weyl group by exhaustive
   search of a box, counted by the tests against pi_1 (the library reads
   pi_1 off lattice indices);
@@ -53,7 +58,7 @@ from satake.hecke import HeckeError
 from satake.lattices import vadd, vscale, vsub, zero_vec
 from satake.laurent import ONE, LaurentPoly
 from satake.linear import LinComb
-from satake.rep_ring import g1_class
+from satake.rep_ring import g1_class, rep_ring
 from satake.root_datum import RootDatum
 from satake.weyl import AffineWeylElement, affine_weyl_group
 
@@ -145,7 +150,7 @@ def tensor_oracle(rd: RootDatum, mu, lam, freud: FreudenthalOracle | None = None
         m = freud.multiplicity(lam, nu_dom)
         if m == 0:
             continue
-        for nu in aw.orbit(nu_dom):
+        for nu in orbit_oracle(rd, nu_dom):
             x = vadd(vscale(2, vadd(tuple(mu), nu)), two_rho_hat)
             w = next(w for w in aw.W0.elements
                      if rdm.is_dominant(rd, w.apply_cochar(x)))
@@ -188,6 +193,39 @@ def greedy_tensor_decompose(R, mu, lam) -> dict:
                 prod.pop(v, None)
         result[nu] = n
     return result
+
+
+def orbit_oracle(rd: RootDatum, lam) -> frozenset:
+    """The W_0-orbit of lam: its images under every element of W_0."""
+    return frozenset(w.apply_cochar(tuple(lam)) for w in affine_weyl_group(rd).W0.elements)
+
+
+def q_analog_oracle(rd: RootDatum, mu, lam) -> LaurentPoly:
+    """Lusztig's q-analog as Kostant's alternating sum over all of W_0,
+    sum_w (-1)^l(w) P(w(mu + rho_hat) - (lam + rho_hat)), in doubled
+    coordinates, since rho_hat may be half-integral."""
+    R = rep_ring(rd)
+    two_rho_hat = rd.two_rho_hat()
+    dbl_mu = vadd(vscale(2, tuple(mu)), two_rho_hat)
+    dbl_lam = vadd(vscale(2, tuple(lam)), two_rho_hat)
+    terms = []
+    for w in affine_weyl_group(rd).W0.elements:
+        u = vsub(w.apply_cochar(dbl_mu), dbl_lam)
+        assert all(c % 2 == 0 for c in u), (mu, lam, w)
+        terms += ((e, -c if w.length % 2 else c)
+                  for e, c in R.kostant_partition(tuple(c // 2 for c in u)).terms)
+    return LaurentPoly(terms)
+
+
+def character_oracle(rd: RootDatum, mu) -> dict:
+    """The character of the irreducible of highest weight mu, from
+    ``q_analog_oracle`` at q = 1 spread over ``orbit_oracle``."""
+    char = {}
+    for lam in rdm.dominant_below(rd, mu):
+        m = q_analog_oracle(rd, mu, lam).eval_at_one()
+        if m:
+            char.update(dict.fromkeys(orbit_oracle(rd, lam), m))
+    return char
 
 
 def partition_count_oracle(rd: RootDatum, v, max_height: int = 12):
@@ -236,7 +274,7 @@ def spherical_double_coset(W, mu):
     by length.  Since u t_mu v = t_{u mu} uv, the double coset is
     {t_nu w : nu in W_0 mu, w in W_0}."""
     mu = rdm.assert_dominant(W.rd, mu)
-    coset = [AffineWeylElement(nu, w) for nu in W.orbit(mu) for w in W.W0.elements]
+    coset = [AffineWeylElement(nu, w) for nu in orbit_oracle(W.rd, mu) for w in W.W0.elements]
     by_len = sorted(coset, key=lambda x: (W.im_length(x), x.translation, x.finite.word))
     minimal, maximal = by_len[0], by_len[-1]
     if len(by_len) > 1 and W.im_length(by_len[1]) == W.im_length(minimal):
@@ -272,7 +310,7 @@ def projected_c_mul(sph, mu, lam) -> LinComb:
         by_orbit.setdefault(W.dominant_representative(nu), {})[nu] = p
     out = []
     for nu, coeffs in sorted(by_orbit.items()):
-        if set(coeffs) != W.orbit(nu):
+        if set(coeffs) != orbit_oracle(W.rd, nu):
             raise HeckeError(f"product support does not fill the double coset of {nu}")
         values = set(coeffs.values())
         if len(values) != 1:

@@ -11,10 +11,18 @@ import pytest
 import satake.root_datum as rdm
 from satake import LaurentPoly, LinComb, catalog, g1_class, g1_ring, rep_ring
 from satake.laurent import ONE, ZERO
-from satake.rep_ring import G1RepClass, RepRing, RepRingError
+from satake.rep_ring import G1RepClass, RepRing, RepRingError, orbit
 
-from oracles import (FreudenthalOracle, class_element, greedy_tensor_decompose,
-                     partition_count_oracle, tensor_oracle, weyl_dim)
+from oracles import (FreudenthalOracle, character_oracle, class_element, greedy_tensor_decompose,
+                     orbit_oracle, partition_count_oracle, q_analog_oracle, tensor_oracle,
+                     weyl_dim)
+from test_acceptance import CROSS_PATH_CELLS
+from test_weyl import CARTAN_TYPES, from_cartan
+
+# every cross-path group four steps of d beyond its cross-path bound, and
+# every Cartan type; each cell runs in well under 2 s
+W0_ORACLE_CELLS = [(name, dmax + 4) for name, dmax in CROSS_PATH_CELLS] + [
+    ("G2", 20), ("B3", 12), ("D4", 10), ("F4", 16), ("A2+A1", 10)]
 
 
 def P(*terms):
@@ -235,6 +243,39 @@ class TestLusztigQAnalog:
                 m = R.lusztig_q_analog(mu, lam)
                 assert m.has_nonnegative_coefficients()
                 assert m.eval_at_one() == oracle.multiplicity(mu, lam)
+
+
+class TestAgainstW0Oracles:
+    """The simple-reflection walks of rep_ring against sums and images over
+    all of W_0: the dual path reads no W_0 table, so these are the only
+    places where the two meet."""
+
+    @pytest.fixture(params=W0_ORACLE_CELLS, ids=lambda cell: f"{cell[0]}-d{cell[1]}")
+    def cell(self, request):
+        name, dmax = request.param
+        rd = from_cartan(name, CARTAN_TYPES[name]) if name in CARTAN_TYPES else catalog(name)
+        return rd, rdm.dominant_reps(rd, dmax)
+
+    def test_orbit(self, cell):
+        rd, reps = cell
+        for lam in reps:
+            found = orbit(rd, lam)
+            assert found[0] == lam and len(set(found)) == len(found)
+            assert set(found) == orbit_oracle(rd, lam), lam
+
+    def test_lusztig_q_analog(self, cell):
+        rd, reps = cell
+        R = RepRing(rd)
+        pairs = [(mu, lam) for mu in reps for lam in rdm.dominant_below(rd, mu)]
+        assert any(mu != lam for mu, lam in pairs)
+        for mu, lam in pairs:
+            assert R.lusztig_q_analog(mu, lam) == q_analog_oracle(rd, mu, lam), (mu, lam)
+
+    def test_character(self, cell):
+        rd, reps = cell
+        R = RepRing(rd)
+        for mu in reps:
+            assert R.character(mu) == character_oracle(rd, mu), mu
 
 
 class TestG1Ring:

@@ -1,9 +1,8 @@
 """The runtime contract of the package: it imports nothing but the
 standard library and its own modules, and no rational arithmetic, so
 every computation stays exact over the integers; every name a module
-imports is used there; and the Iwahori multiplication path never reaches
-into the dual path, so the agreement of the two stays an independent
-check."""
+imports is used there; and neither multiplication path reaches into the
+other, so the agreement of the two stays an independent check."""
 import ast
 import sys
 from pathlib import Path
@@ -20,6 +19,17 @@ def imported_modules(path):
             yield from ((alias.name, 0) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             yield node.module or "", node.level
+
+
+def package_modules(path):
+    """The modules of the package that a file imports, by relative
+    imports: ``from .m import x`` names m, ``from . import m`` names m."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
 
 
 def unused_imports(path):
@@ -70,23 +80,34 @@ def self_attributes(fn):
             and isinstance(node.value, ast.Name) and node.value.id == "self"}
 
 
-def iwahori_path_bodies():
-    """(qualified name, AST) of every IwahoriHecke method and of the
-    Iwahori-path methods of SphericalHecke: those that read
-    ``self.iwahori``, and every method those reach through ``self``."""
+def hecke_methods():
+    """{class name: {method name: AST}} for the classes of hecke.py."""
     path = next(p for p in MODULES if p.name == "hecke.py")
     tree = ast.parse(path.read_text(), filename=str(path))
-    classes = {cls.name: {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)}
-               for cls in tree.body if isinstance(cls, ast.ClassDef)}
-    yield from ((f"IwahoriHecke.{name}", fn) for name, fn in classes["IwahoriHecke"].items())
-    methods = classes["SphericalHecke"]
-    path_names = {name for name, fn in methods.items() if "iwahori" in self_attributes(fn)}
-    frontier = set(path_names)
+    return {cls.name: {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+            for cls in tree.body if isinstance(cls, ast.ClassDef)}
+
+
+def reached_through_self(methods, names):
+    """``names`` and every method of ``methods`` they reach through ``self``."""
+    path_names, frontier = set(names), set(names)
     while frontier:
         reached = set().union(*(self_attributes(methods[name]) for name in frontier)) & set(methods)
         frontier = reached - path_names
         path_names |= frontier
-    yield from ((f"SphericalHecke.{name}", methods[name]) for name in sorted(path_names))
+    return sorted(path_names)
+
+
+def iwahori_path_bodies():
+    """(qualified name, AST) of every IwahoriHecke method and of the
+    Iwahori-path methods of SphericalHecke: those that read
+    ``self.iwahori``, and every method those reach through ``self``."""
+    classes = hecke_methods()
+    yield from ((f"IwahoriHecke.{name}", fn) for name, fn in classes["IwahoriHecke"].items())
+    methods = classes["SphericalHecke"]
+    starts = [name for name, fn in methods.items() if "iwahori" in self_attributes(fn)]
+    yield from ((f"SphericalHecke.{name}", methods[name])
+                for name in reached_through_self(methods, starts))
 
 
 def test_iwahori_path_shares_nothing_with_the_dual_path():
@@ -97,3 +118,21 @@ def test_iwahori_path_shares_nothing_with_the_dual_path():
         used = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
         used |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
         assert used.isdisjoint(DUAL_PATH_NAMES), (name, sorted(used & DUAL_PATH_NAMES))
+
+
+DUAL_PATH_METHODS = ["to_ic_basis", "ic_expansion", "c_mul_satake", "satake_transform",
+                     "k0_to_g1", "satake_inverse"]
+
+
+def test_dual_path_shares_nothing_with_the_iwahori_path():
+    # the dual-path modules import nothing from the Weyl-group module
+    for path in MODULES:
+        if path.name in ("rep_ring.py", "k0.py"):
+            assert "weyl" not in set(package_modules(path)), path.name
+    # and the dual-path methods of SphericalHecke, with every method they
+    # reach through self, read neither the affine Weyl group nor the
+    # Iwahori algebra
+    methods = hecke_methods()["SphericalHecke"]
+    for name in reached_through_self(methods, DUAL_PATH_METHODS):
+        read = self_attributes(methods[name]) & {"W", "iwahori"}
+        assert not read, (name, sorted(read))

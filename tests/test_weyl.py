@@ -10,8 +10,8 @@ from satake import catalog, lattices, weyl
 from satake.weyl import (AffineWeylElement, AffineWeylGroup, FiniteWeylGroup, WeylError,
                          affine_weyl_group, finite_weyl_group)
 
-from oracles import (affine_simple_refs, from_finite, omega_elements, right_greedy_word,
-                     spherical_double_coset)
+from oracles import (affine_simple_refs, from_finite, omega_elements, orbit_oracle,
+                     right_greedy_word, spherical_double_coset)
 
 
 def random_element(W, rng, max_length=6):
@@ -308,7 +308,7 @@ class TestDoubleCosets:
         for mu in rdm.dominant_reps(rd, 4):
             _, minimal, _ = spherical_double_coset(W, mu)
             assert W.min_coset_element(mu) == minimal
-            for nu in W.orbit(mu):
+            for nu in orbit_oracle(rd, mu):
                 scanned = min((AffineWeylElement(nu, w) for w in W.W0.elements),
                               key=W.im_length)
                 assert W.min_coset_element(nu) == scanned
@@ -319,7 +319,7 @@ class TestDoubleCosets:
         rd = catalog(name)
         W = affine_weyl_group(rd)
         for mu in rdm.dominant_reps(rd, 6):
-            for nu in W.orbit(mu):
+            for nu in orbit_oracle(rd, mu):
                 (scanned,) = {w.apply_cochar(nu) for w in W.W0.elements
                               if rdm.is_dominant(rd, w.apply_cochar(nu))}
                 assert W.dominant_representative(nu) == scanned == mu
@@ -328,7 +328,7 @@ class TestDoubleCosets:
         rd = catalog("Sp(4)")
         W = affine_weyl_group(rd)
         for mu in rdm.dominant_reps(rd, 6):
-            for nu in W.orbit(mu):
+            for nu in orbit_oracle(rd, mu):
                 assert W.dominant_representative(nu) == mu
 
 
