@@ -42,11 +42,6 @@ def mat_vec(rows: Sequence[Vec], v: Vec) -> Vec:
     return tuple(sum(r[i] * v[i] for i in range(len(v))) for r in rows)
 
 
-def mat_mul(a: Sequence[Vec], b: Sequence[Vec]) -> tuple[Vec, ...]:
-    n = len(b[0]) if b else 0
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(n)) for i in range(len(a)))
-
-
 def transpose(rows: Sequence[Sequence[int]]) -> tuple[Vec, ...]:
     if not rows:
         return ()

@@ -22,42 +22,41 @@ class WeylError(RuntimeError):
     pass
 
 
-Mat = tuple[Vec, ...]
 # (translation, index in FiniteWeylGroup.elements) of t_lam w
 Key = tuple[Vec, int]
 
-# |W_0| above this (the order of the Weyl group of type A_9) is refused
-MAX_W0_ORDER = 3628800
+# |W_0| above this (the order of the Weyl group of type E_6, which builds
+# in a few seconds) is refused
+MAX_W0_ORDER = 51840
 
 
 @dataclass(frozen=True)
 class FiniteWeylElement:
-    """An element of W_0, stored as its action on X_*.
+    """An element of W_0, stored as a reduced word.
 
     ``word`` is a fixed reduced word in simple-reflection indices, found
-    by breadth-first enumeration, so it is canonical per group.
-    ``index`` is the position in ``FiniteWeylGroup.elements``, and
-    ``inverted[j]`` is 1 if w^-1 sends the j-th positive root to a
-    negative one, else 0; neither takes part in equality or hashing.
+    by breadth-first enumeration, so it is canonical per group and alone
+    decides equality and hashing.  ``index`` is the position in
+    ``FiniteWeylGroup.elements``, and ``inverted[j]`` is 1 if w^-1 sends
+    the j-th positive root to a negative one, else 0.
     """
 
-    act_cochar: Mat  # action on X_* (matrix by rows)
     word: tuple[int, ...]
     length: int
     index: int = field(compare=False)
     inverted: tuple[int, ...] = field(compare=False)
+    rd: RootDatum = field(compare=False, repr=False)
 
     def apply_cochar(self, lam: Vec) -> Vec:
-        return mat_vec(self.act_cochar, lam)
+        """w lam, walking the word from the right, each letter s_i doing
+        lam -> lam - <alpha_i, lam> alpha_i^."""
+        for i in reversed(self.word):
+            c = sum(map(operator.mul, self.rd.simple_root_rows[i], lam))
+            lam = tuple(x - c * b for x, b in zip(lam, self.rd.simple_coroots[i]))
+        return tuple(lam)
 
     def __repr__(self) -> str:
         return "w[" + ("e" if not self.word else ".".join(map(str, self.word))) + "]"
-
-
-def _simple_reflection(rd: RootDatum, i: int) -> Mat:
-    """s_i on X_*, lam -> lam - <alpha_i, lam> alpha_i^, as a row matrix."""
-    row, bv = rd.simple_root_rows[i], rd.simple_coroots[i]
-    return tuple(tuple(int(r == c) - bv[r] * row[c] for c in range(rd.rank)) for r in range(rd.rank))
 
 
 class FiniteWeylGroup:
@@ -69,11 +68,14 @@ class FiniteWeylGroup:
     canonical words through the table ``right[k][i]`` = index of
     ``elements[k]`` times s_i.
 
-    Since s_i permutes the positive roots other than alpha_i, the inversion
-    flags of w and w s_i differ at exactly one positive root, the one equal
-    to +-w alpha_i; the same loop records its index as ``flip[k][i]``.
-    An element is determined by its inversion flags, so ``by_inverted``
-    maps each ``inverted`` tuple back to its element.
+    The search forms no matrix.  It carries the images w alpha_j^ of the
+    simple coroots, which move along an edge as (w s_i) alpha_j^ =
+    w alpha_j^ - <alpha_i, alpha_j^> w alpha_i^, and keys each element by
+    its inversion flags, which determine it: ``by_inverted``.  Since s_i
+    permutes the positive roots other than alpha_i, the flags of w and
+    w s_i differ at exactly one positive root, the one whose coroot is
+    +-w alpha_i^; a dict of signed positive coroots gives its index,
+    ``flip[k][i]``, and toggling that flag gives the key of w s_i.
 
     |W_0| is known before the search: the exponents of W_0 are the parts
     of the partition dual to the numbers r_k of positive roots of height
@@ -87,39 +89,40 @@ class FiniteWeylGroup:
         order = math.prod((k + 1) ** (heights[k] - heights[k + 1]) for k in heights)
         if order > MAX_W0_ORDER:
             raise WeylError(f"|W_0| = {order} exceeds bound {MAX_W0_ORDER}")
-        refl = [_simple_reflection(rd, i) for i in range(rd.semisimple_rank)]
+        cartan = rd.cartan_matrix()
+        # +-alpha^ -> index of the positive coroot alpha^
+        signed = {tuple(s * c for c in bv): j
+                  for j, bv in enumerate(rd.positive_coroots) for s in (1, -1)}
         self.elements: list[FiniteWeylElement] = []
         self._right: list[list[int]] = []
         self.flip: list[list[int]] = []
-        by_matrix: dict[Mat, int] = {}
+        self.by_inverted: dict[tuple[int, ...], FiniteWeylElement] = {}
+        images: list[tuple[Vec, ...]] = []  # images[k][j] = elements[k] alpha_j^
 
-        def add(act: Mat, word: tuple[int, ...]) -> None:
-            # w^-1 alpha > 0 iff alpha^ lies in w(positive coroots)
-            images = frozenset(mat_vec(act, bv) for bv in rd.positive_coroots)
-            inverted = tuple(int(bv not in images) for bv in rd.positive_coroots)
+        def add(word: tuple[int, ...], inverted: tuple[int, ...], image: tuple[Vec, ...]) -> None:
             if len(word) != sum(inverted):
                 raise WeylError("BFS produced a non-reduced word")
-            by_matrix[act] = len(self.elements)
-            self.elements.append(FiniteWeylElement(act, word, len(word), len(self.elements), inverted))
+            w = FiniteWeylElement(word, len(word), len(self.elements), inverted, rd)
+            self.elements.append(w)
+            self.by_inverted[inverted] = w
+            images.append(image)
 
-        add(lattices.identity_matrix(rd.rank), ())
+        add((), (0,) * len(rd.positive_coroots), rd.simple_coroots)
         # elements[len(self._right):] is the frontier of the search
         while len(self._right) < len(self.elements):
-            w = self.elements[len(self._right)]
-            row, flips = [], []
-            for i, s in enumerate(refl):
-                act = lattices.mat_mul(w.act_cochar, s)
-                if act not in by_matrix:
-                    add(act, w.word + (i,))
-                k = by_matrix[act]
-                row.append(k)
-                changed = map(operator.ne, w.inverted, self.elements[k].inverted)
-                flips.append(list(changed).index(True))
+            k = len(self._right)
+            w, image = self.elements[k], images[k]
+            self.flip.append([signed[wi] for wi in image])
+            row = []
+            for i, j in enumerate(self.flip[k]):
+                flags = w.inverted[:j] + (1 - w.inverted[j],) + w.inverted[j + 1:]
+                if flags not in self.by_inverted:
+                    add(w.word + (i,), flags, tuple(tuple(x - c * y for x, y in zip(wj, image[i]))
+                                                    for wj, c in zip(image, cartan[i])))
+                row.append(self.by_inverted[flags].index)
             self._right.append(row)
-            self.flip.append(flips)
         if len(self.elements) != order:
             raise WeylError(f"BFS found {len(self.elements)} elements, not |W_0| = {order}")
-        self.by_inverted = {w.inverted: w for w in self.elements}
         self.identity = self.elements[0]
         self.generators = [self.elements[k] for k in self._right[0]]
 

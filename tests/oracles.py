@@ -27,9 +27,15 @@ algorithm than the library uses, so agreement is meaningful:
   with each step formed by the affine product and decided by two
   lengths (the library walks integer keys through the W_0 tables into
   one integer accumulator);
+* the finite Weyl group by a breadth-first search over row matrices on
+  X_*, keyed by matrix, with inversion flags from the images of every
+  positive coroot (the library keys elements by their inversion flags,
+  carries the images of the simple coroots only, and acts on X_* by
+  walking reduced words);
 * the affine simple system by a depth-first search for the Dynkin
   components, the highest root of each by height, and s_theta by a scan
-  of W_0 for its reflection matrix (the library reads the highest roots
+  of W_0 for the element whose images of the basis of X_* are the
+  columns of its reflection matrix (the library reads the highest roots
   off the root datum as its maximal roots and conjugates a simple
   reflection);
 * spherical double cosets by listing and sorting all of W_0 t_mu W_0, and
@@ -52,6 +58,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from satake import root_datum as rdm
 from satake.hecke import HeckeError
@@ -381,6 +388,58 @@ def _reflection_matrix(rd: RootDatum, beta, bv):
                        for c in range(rd.rank)) for r in range(rd.rank))
 
 
+class W0Tables(NamedTuple):
+    """The finite Weyl group as the matrix search enumerates it: per
+    element, its reduced word, its row matrix on X_* and its inversion
+    flags; per element and simple index i, the index of w s_i and the
+    positive root whose flag differs between w and w s_i."""
+
+    words: list
+    acts: list
+    inverted: list
+    right: list
+    flip: list
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+                 for i in range(len(a)))
+
+
+def w0_by_matrices(rd: RootDatum) -> W0Tables:
+    """W_0 by breadth-first search over row matrices on X_*, multiplying
+    by the simple reflection matrices on the right and keying elements by
+    matrix.  The inversion flags come from mapping every positive coroot
+    through the matrix (w^-1 alpha > 0 iff alpha^ lies in w(positive
+    coroots)), and the flipped root of an edge from comparing the flags
+    of its two ends."""
+    refl = [_reflection_matrix(rd, a, bv) for a, bv in zip(rd.simple_roots, rd.simple_coroots)]
+    t = W0Tables([], [], [], [], [])
+    by_matrix = {}
+
+    def add(act, word):
+        images = {tuple(sum(r[c] * bv[c] for c in range(rd.rank)) for r in act)
+                  for bv in rd.positive_coroots}
+        by_matrix[act] = len(t.acts)
+        t.words.append(word)
+        t.acts.append(act)
+        t.inverted.append(tuple(int(bv not in images) for bv in rd.positive_coroots))
+
+    add(tuple(tuple(int(r == c) for c in range(rd.rank)) for r in range(rd.rank)), ())
+    while len(t.right) < len(t.acts):
+        k = len(t.right)
+        row, flips = [], []
+        for i, s in enumerate(refl):
+            act = _mat_mul(t.acts[k], s)
+            if act not in by_matrix:
+                add(act, t.words[k] + (i,))
+            row.append(by_matrix[act])
+            flips.append([a != b for a, b in zip(t.inverted[k], t.inverted[row[-1]])].index(True))
+        t.right.append(row)
+        t.flip.append(flips)
+    return t
+
+
 def affine_simple_refs(W) -> list[AffineWeylElement]:
     """The affine simple reflections of W: the finite ones, then
     s_0 = t_{theta^} s_theta for each irreducible component.
@@ -388,7 +447,9 @@ def affine_simple_refs(W) -> list[AffineWeylElement]:
     The components come from a depth-first search over the nonzero Cartan
     entries, in the order of their least simple root; theta is the
     positive root of greatest height supported in the component, and
-    s_theta is found by scanning W_0 for the reflection matrix of theta."""
+    s_theta is found by scanning W_0 for the element whose images of the
+    basis vectors of X_* are the columns of the reflection matrix of
+    theta."""
     rd = W.rd
     n = rd.semisimple_rank
     cartan = rd.cartan_matrix()
@@ -408,6 +469,7 @@ def affine_simple_refs(W) -> list[AffineWeylElement]:
                     stack.append(k)
         comps.append(comp)
     refs = [AffineWeylElement(zero_vec(rd.rank), g) for g in W.W0.generators]
+    basis = [tuple(int(k == c) for k in range(rd.rank)) for c in range(rd.rank)]
     for comp in comps:
         _, theta, theta_cov = max(
             (sum(coeffs), beta, bv)
@@ -415,7 +477,8 @@ def affine_simple_refs(W) -> list[AffineWeylElement]:
                                         rd.positive_root_coords)
             if all(c == 0 or i in comp for i, c in enumerate(coeffs)))
         act = _reflection_matrix(rd, theta, theta_cov)
-        (s_theta,) = [w for w in W.W0.elements if w.act_cochar == act]
+        (s_theta,) = [w for w in W.W0.elements
+                      if tuple(zip(*(w.apply_cochar(e) for e in basis))) == act]
         refs.append(AffineWeylElement(theta_cov, s_theta))
     return refs
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from satake.cli import main
 from satake.root_datum import MAX_RANK
+from satake.weyl import MAX_W0_ORDER
 
 SRC_DIR = Path(__file__).parent.parent / "src"
 SCHEMA_DIR = SRC_DIR / "satake" / "schemas"
@@ -188,11 +189,26 @@ class TestRankBound:
         assert f"(rank {MAX_RANK})" in out
 
 
+class TestW0OrderBound:
+    """GL(9), the first GL(n) whose |W_0| = 9! is above ``MAX_W0_ORDER``,
+    is refused from its root heights, before any element of W_0 is built."""
+
+    @pytest.mark.parametrize("argv", [("verify", "--group", "GL(9)", "--bound", "0"),
+                                      ("hecke-mul", "--group", "GL(9)", "e")])
+    def test_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"exceeds bound {MAX_W0_ORDER}" in err
+
+
 FAMILY_NAMES = ["GL(1)", "GL(2)", "GL(3)", "SL(2)", "SL(3)", "PGL(2)", "PGL(3)",
                 "Sp(4)", "SO(5)", "torus(1)", "torus(2)"]
 # the last name has more digits than int() converts
 OUT_OF_RANGE_NAMES = ["GL(0)", "SL(0)", "SL(1)", "PGL(1)", "Sp(2)", "Sp(6)", "SO(3)",
-                      "SO(7)", "torus(0)", f"GL({MAX_RANK + 1})", "torus(100000)",
+                      "SO(7)", "torus(0)", "GL(9)", f"GL({MAX_RANK + 1})", "torus(100000)",
                       "E(8)", "GL(2", "gl(2)", "", f"GL({'9' * 5000})"]
 # comma strings: decreasing weights (dominant for GL), small integers, or
 # entries that may not parse

@@ -11,7 +11,8 @@ from satake.weyl import (AffineWeylElement, AffineWeylGroup, FiniteWeylGroup, We
                          affine_weyl_group, finite_weyl_group)
 
 from oracles import (affine_simple_refs, from_finite, omega_elements, orbit_oracle,
-                     right_greedy_word, spherical_double_coset)
+                     right_greedy_word, spherical_double_coset, w0_by_matrices)
+from test_acceptance import CROSS_PATH_CELLS
 
 
 def random_element(W, rng, max_length=6):
@@ -370,29 +371,49 @@ class TestAffineSimpleSystem:
         assert all(W.im_length(s) == 1 for s in W.simple_refs)
 
 
+class TestAgainstMatrixEnumeration:
+    """The flag-keyed search against the oracle's search over matrices:
+    the same words, inversion flags and tables, and the word walk acting
+    on X_* as the oracle's matrix does, on a basis and a regular vector."""
+
+    @pytest.mark.parametrize("name", sorted({*SYSTEM_GROUPS, *(n for n, _ in CROSS_PATH_CELLS), "GL(6)"})
+                             + sorted(CARTAN_TYPES))
+    def test_tables_and_action_match(self, name):
+        rd = from_cartan(name, CARTAN_TYPES[name]) if name in CARTAN_TYPES else catalog(name)
+        W, ref = FiniteWeylGroup(rd), w0_by_matrices(rd)
+        assert [w.word for w in W.elements] == ref.words
+        assert [w.inverted for w in W.elements] == ref.inverted
+        assert W._right == ref.right
+        assert W.flip == ref.flip
+        vectors = list(lattices.identity_matrix(rd.rank)) + [(2, 3, 5, 7, 11, 13, 17, 19)[:rd.rank]]
+        for w, act in zip(W.elements, ref.acts):
+            assert [w.apply_cochar(v) for v in vectors] == [lattices.mat_vec(act, v) for v in vectors]
+
+
 class TestW0Bound:
     @pytest.fixture
-    def mat_muls(self, monkeypatch):
+    def built(self, monkeypatch):
+        """Counts the FiniteWeylElement objects built."""
         calls = []
-        mat_mul = lattices.mat_mul
-        monkeypatch.setattr(lattices, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+        element = weyl.FiniteWeylElement
+        monkeypatch.setattr(weyl, "FiniteWeylElement", lambda *a: calls.append(1) or element(*a))
         return calls
 
-    def test_oversized_group_is_refused_before_enumeration(self, monkeypatch, mat_muls):
+    def test_oversized_group_is_refused_before_enumeration(self, monkeypatch, built):
         monkeypatch.setattr(weyl, "MAX_W0_ORDER", 100)
         with pytest.raises(WeylError, match="120 exceeds bound 100"):
             FiniteWeylGroup(catalog("SL(5)"))
-        assert not mat_muls
+        assert not built
 
-    def test_bound_admits_its_own_order(self, monkeypatch, mat_muls):
+    def test_bound_admits_its_own_order(self, monkeypatch, built):
         monkeypatch.setattr(weyl, "MAX_W0_ORDER", 120)
         assert len(FiniteWeylGroup(catalog("SL(5)"))) == 120
-        assert mat_muls
+        assert len(built) == 120
 
-    def test_cli_reports_one_error_line(self, monkeypatch, capsys, mat_muls):
+    def test_cli_reports_one_error_line(self, monkeypatch, capsys, built):
         from satake.cli import main
         monkeypatch.setattr(weyl, "MAX_W0_ORDER", 100)
         assert main(["verify", "--group", "SL(5)"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-        assert not mat_muls
+        assert not built
