@@ -276,8 +276,8 @@ class SphericalHecke:
 
     def c_mul_satake(self, mu: Vec, lam: Vec) -> LinComb:
         """c_mu * c_lam through the dual side: change basis into K0,
-        convolve there, take the trace back."""
-        return self.k0.trace_to_hecke(self.k0.convolve(self.ic_expansion(mu), self.ic_expansion(lam)))
+        convolve there, take the trace back, the last two in one pass."""
+        return self.k0.trace_of_convolution(self.ic_expansion(mu), self.ic_expansion(lam))
 
     # -- the transform -------------------------------------------------
 

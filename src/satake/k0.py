@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import root_datum as rdm
 from .lattices import Vec, zero_vec
-from .laurent import LaurentPoly
+from .laurent import ONE, LaurentPoly, add_product
 from .linear import LinComb
 from .rep_ring import rep_ring
 from .root_datum import RootDatum
@@ -60,24 +60,28 @@ class SatakeK0:
 
     # -- convolution ---------------------------------------------------
 
-    def convolve(self, x: LinComb, y: LinComb) -> LinComb:
-        """Convolution extended bilinearly: each tensor constituent nu of
-        classes a, b, of multiplicity N, adds N p_a p_b IC_nu(a.n + b.n + t),
-        with the twist t forced by purity-weight additivity."""
+    def _constituents(self, x: LinComb, y: LinComb):
+        """The terms of the convolution of x and y: (nu, n, p, r, N) for
+        each tensor constituent nu, of multiplicity N, of each pair of
+        classes a, b of x and y with coefficients p and r.  The term is
+        N p r IC_nu(n), n = a.n + b.n + t, with the twist t forced by
+        purity-weight additivity."""
         right = [(b, r, rdm.d_pairing(self.rd, b.mu)) for b, r in y.items()]
+        for a, p in x.items():
+            d_a = rdm.d_pairing(self.rd, a.mu)
+            for b, r, d_b in right:
+                n_ab, d_ab = a.n + b.n, d_a + d_b
+                for nu, mult in self.R.tensor_decompose(a.mu, b.mu).items():
+                    offset = rdm.d_pairing(self.rd, nu) - d_ab
+                    if offset % 2 != 0:
+                        raise K0Error(f"non-integral twist for constituent {nu}")
+                    yield nu, n_ab + offset // 2, p, r, mult
 
-        def terms():
-            for a, p in x.items():
-                d_a = rdm.d_pairing(self.rd, a.mu)
-                for b, r, d_b in right:
-                    n_ab, d_ab = a.n + b.n, d_a + d_b
-                    for nu, mult in self.R.tensor_decompose(a.mu, b.mu).items():
-                        offset = rdm.d_pairing(self.rd, nu) - d_ab
-                        if offset % 2 != 0:
-                            raise K0Error(f"non-integral twist for constituent {nu}")
-                        yield ICClass(nu, n_ab + offset // 2), p, r, mult
-
-        return LinComb.of_products(terms())
+    def convolve(self, x: LinComb, y: LinComb) -> LinComb:
+        """Convolution extended bilinearly, one IC_nu(n) key per term of
+        ``_constituents``."""
+        return LinComb.of_products((ICClass(nu, n), p, r, mult)
+                                   for nu, n, p, r, mult in self._constituents(x, y))
 
     def convolve_ic(self, a: ICClass, b: ICClass) -> LinComb:
         """Convolution of basis classes."""
@@ -119,10 +123,27 @@ class SatakeK0:
 
     def trace_to_hecke(self, x: LinComb) -> LinComb:
         """The trace map from K0 to spherical Hecke functions: a Tate twist
-        n on IC_mu contributes the factor q^-n.  Twists are folded by mu
-        first, so each ic_function is expanded once per mu."""
-        folded = LinComb((cls.mu, p.shift(-cls.n)) for cls, p in x.items())
-        return LinComb.of_products((lam, h, p, 1) for mu, p in folded.items()
+        n on IC_mu contributes the factor q^-n."""
+        folded: dict[Vec, dict[int, int]] = {}
+        for cls, p in x.items():
+            add_product(folded.setdefault(cls.mu, {}), p.terms, ONE.terms, shift=-cls.n)
+        return self._trace(folded)
+
+    def trace_of_convolution(self, x: LinComb, y: LinComb) -> LinComb:
+        """trace_to_hecke(convolve(x, y)), with no K0 element in between:
+        each term N p r IC_nu(n) of the convolution adds N q^-n p r to the
+        integer dict of nu."""
+        folded: dict[Vec, dict[int, int]] = {}
+        for nu, n, p, r, mult in self._constituents(x, y):
+            add_product(folded.setdefault(nu, {}), p.terms, r.terms, mult, -n)
+        return self._trace(folded)
+
+    def _trace(self, folded: dict[Vec, dict[int, int]]) -> LinComb:
+        """The sum of f_mu ic_function(mu) over a {mu: {exponent:
+        coefficient}} dict of ints f, the twists already folded in, so
+        each ic_function is expanded once per mu."""
+        polys = [(mu, LaurentPoly.of_dict(f)) for mu, f in folded.items()]
+        return LinComb.of_products((lam, h, p, 1) for mu, p in polys if p
                                    for lam, h in self.ic_function(mu).items())
 
     # -- parity / positivity reporting ---------------------------------

@@ -184,10 +184,12 @@ class LaurentPoly:
 
 
 def add_product(acc: dict[int, int], p: Iterable[tuple[int, int]],
-                r: Iterable[tuple[int, int]], n: int = 1) -> dict[int, int]:
-    """acc += n * p * r, for (exponent, coefficient) pairs p and r (r is
-    read once per term of p) and an {exponent: coefficient} dict acc."""
+                r: Iterable[tuple[int, int]], n: int = 1, shift: int = 0) -> dict[int, int]:
+    """acc += n * q^shift * p * r, for (exponent, coefficient) pairs p and
+    r (r is read once per term of p) and an {exponent: coefficient} dict
+    acc."""
     for e1, c1 in p:
+        e1 += shift
         c1 *= n
         for e2, c2 in r:
             e = e1 + e2

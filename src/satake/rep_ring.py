@@ -28,6 +28,7 @@ class RepRing:
     def __init__(self, rd: RootDatum):
         self.rd = rd
         self._kostant_cache: dict[tuple, LaurentPoly] = {}
+        self._q_analog_cache: dict[tuple[Vec, Vec], LaurentPoly] = {}
         self._char_cache: dict[Vec, dict[Vec, int]] = {}
         self._tensor_cache: dict[tuple[Vec, Vec], dict[Vec, int]] = {}
 
@@ -71,9 +72,18 @@ class RepRing:
         """The q-graded analog of weight multiplicity,
         sum_w (-1)^l(w) P(w(mu + rho_hat) - (lam + rho_hat)); evaluates at
         q=1 to weight_multiplicity(mu, lam), and equals 1 when lam = mu.
+        Walked once per pair (mu, lam) and kept: the stalks, characters and
+        verify suites all read the same pairs."""
+        key = (tuple(mu), tuple(lam))
+        m = self._q_analog_cache.get(key)
+        if m is None:
+            m = self._q_analog_cache[key] = self._q_analog_walk(*key)
+        return m
 
-        Only the w with c >= 0 contribute, c the simple-coroot coordinates
-        of (w v - 2(lam + rho_hat)) / 2 for v = 2(mu + rho_hat).  They form
+    def _q_analog_walk(self, mu: Vec, lam: Vec) -> LaurentPoly:
+        """Kostant's sum of ``lusztig_q_analog``, by a walk.  Only the w
+        with c >= 0 contribute, c the simple-coroot coordinates of
+        (w v - 2(lam + rho_hat)) / 2 for v = 2(mu + rho_hat).  They form
         a lower set (a left descent s_i of w adds a positive multiple of
         alpha_i^ to w v), walked up from e, where c is that of mu - lam, by
         length: s_i w for p = <alpha_i, w v> > 0 lowers c_i by p/2, an
@@ -81,7 +91,7 @@ class RepRing:
         keys w."""
         rd = self.rd
         mu = rdm.assert_dominant(rd, mu)
-        coords = rdm.coroot_coords(rd, vsub(mu, tuple(lam)))
+        coords = rdm.coroot_coords(rd, vsub(mu, lam))
         if coords is None or any(c < 0 for c in coords):
             return LaurentPoly.zero()
         level = {vadd(lattices.vscale(2, mu), rd.two_rho_hat()): coords}

@@ -420,24 +420,18 @@ def dominant_reps(rd: RootDatum, dmax: int) -> list[Vec]:
 
 
 def dominant_below(rd: RootDatum, mu: Vec) -> list[Vec]:
-    """All dominant lam <= mu in the dominance order, including mu."""
+    """All dominant lam <= mu in the dominance order, including mu, sorted.
+
+    Walked down from mu by subtracting positive coroots, going on from the
+    dominant results only.  Between dominant lam <= mu there is a chain of
+    dominant weights whose steps are positive roots (Stembridge, The
+    partial order of dominant weights, Adv. Math. 136 (1998), Cor. 2.7,
+    for the dual root system, whose positive roots are the positive
+    coroots), so the walk reaches exactly the dominant lam <= mu."""
     mu = tuple(mu)
-    n = rd.semisimple_rank
-    if n == 0:
-        return [mu]
-    bound = d_pairing(rd, mu) // 2
-    out = []
-
-    def rec(i, left, acc):
-        if i == n:
-            lam = mu
-            for c, av in zip(acc, rd.simple_coroots):
-                lam = vsub(lam, lattices.vscale(c, av))
-            if is_dominant(rd, lam):
-                out.append(lam)
-            return
-        for c in range(left + 1):
-            rec(i + 1, left - c, acc + [c])
-
-    rec(0, bound, [])
-    return sorted(set(out))
+    found, level = {mu}, {mu}
+    while level:
+        level = {lam for x in level for lam in (vsub(x, beta) for beta in rd.positive_coroots)
+                 if lam not in found and is_dominant(rd, lam)}
+        found |= level
+    return sorted(found)

@@ -12,6 +12,9 @@ algorithm than the library uses, so agreement is meaningful:
   conjugate (the library straightens by simple reflections, on
   characters from Kostant's formula);
 * partition counts by literal multiset enumeration;
+* the dominant weights below mu by enumerating every mu - sum c_i alpha_i^
+  of height at most <rho, mu> (the library walks down from mu by positive
+  coroots through dominant weights only);
 * W_0-orbits as the images under every element of W_0, and Lusztig's
   q-analogs as Kostant's alternating sum over all of W_0, one coroot
   solve per term (the library walks down from the dominant weight by
@@ -153,7 +156,7 @@ def tensor_oracle(rd: RootDatum, mu, lam, freud: FreudenthalOracle | None = None
     aw = affine_weyl_group(rd)
     two_rho_hat = rd.two_rho_hat()
     out: dict[tuple, int] = {}
-    for nu_dom in rdm.dominant_below(rd, lam):
+    for nu_dom in dominant_below_oracle(rd, lam):
         m = freud.multiplicity(lam, nu_dom)
         if m == 0:
             continue
@@ -228,11 +231,31 @@ def character_oracle(rd: RootDatum, mu) -> dict:
     """The character of the irreducible of highest weight mu, from
     ``q_analog_oracle`` at q = 1 spread over ``orbit_oracle``."""
     char = {}
-    for lam in rdm.dominant_below(rd, mu):
+    for lam in dominant_below_oracle(rd, mu):
         m = q_analog_oracle(rd, mu, lam).eval_at_one()
         if m:
             char.update(dict.fromkeys(orbit_oracle(rd, lam), m))
     return char
+
+
+def dominant_below_oracle(rd: RootDatum, mu) -> list:
+    """All dominant lam <= mu, sorted, by enumerating every
+    lam = mu - sum c_i alpha_i^ with c_i >= 0 and sum c_i <= <rho, mu>
+    (which bounds it, as <rho, alpha_i^> = 1 and <rho, lam> >= 0) and
+    keeping the dominant ones."""
+    mu = tuple(mu)
+    out = set()
+
+    def rec(i, left, lam):
+        if i == rd.semisimple_rank:
+            if rdm.is_dominant(rd, lam):
+                out.add(lam)
+            return
+        for c in range(left + 1):
+            rec(i + 1, left - c, vsub(lam, vscale(c, rd.simple_coroots[i])))
+
+    rec(0, rdm.d_pairing(rd, mu) // 2, mu)
+    return sorted(out)
 
 
 def partition_count_oracle(rd: RootDatum, v, max_height: int = 12):

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import satake.root_datum as rdm
-from satake import LaurentPoly, LinComb, catalog, hecke, weyl
+from satake import LaurentPoly, LinComb, catalog, hecke, verify, weyl
 from satake.hecke import IwahoriHecke, SphericalHecke, HeckeError
 from satake.k0 import ICClass
 from satake.laurent import ONE
@@ -290,15 +290,16 @@ class TestWorkCounts:
 
 class TestDualWorkCounts:
     """The cost shape of the dual path, pinned by counting calls: one K0
-    expansion per factor weight, and one coroot solve per q-analog, made
-    before its walk over W_0 starts."""
+    expansion per factor weight, one q-analog walk per pair (mu, lam) over
+    the products, stalk tables and specialization suite of a sweep, and
+    one coroot solve per walk, made before the walk starts."""
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
     def test_each_weight_is_computed_once(self, monkeypatch, name, signed):
-        expanded, solved, per_analog = Counter(), Counter(), []
+        expanded, walked, solved, per_walk = Counter(), Counter(), Counter(), []
         to_ic_basis, coroot_coords = SphericalHecke.to_ic_basis, rdm.coroot_coords
-        q_analog = RepRing.lusztig_q_analog
+        walk = RepRing._q_analog_walk
 
         def counted_to_ic_basis(sph, f):
             expanded.update(f.keys())
@@ -308,25 +309,67 @@ class TestDualWorkCounts:
             solved[tuple(v)] += 1
             return coroot_coords(rd, v)
 
-        def counted_q_analog(R, mu, lam):
+        def counted_walk(R, mu, lam):
+            walked[mu, lam] += 1
             before = solved.total()
-            out = q_analog(R, mu, lam)
-            per_analog.append(solved.total() - before)
+            out = walk(R, mu, lam)
+            per_walk.append(solved.total() - before)
             return out
 
         monkeypatch.setattr(SphericalHecke, "to_ic_basis", counted_to_ic_basis)
         monkeypatch.setattr(rdm, "coroot_coords", counted_coroot_coords)
-        monkeypatch.setattr(RepRing, "lusztig_q_analog", counted_q_analog)
+        monkeypatch.setattr(RepRing, "_q_analog_walk", counted_walk)
         rd = catalog(name)
         sph = SphericalHecke(rd, signed_trace=signed)
+        # a cold RepRing: the shared one may be warm from other tests
+        sph.k0.R = RepRing(rd)
         pairs = list(dominant_pairs(rd, 8))
         for mu, lam in pairs:
             assert sph.c_mul_satake(mu, lam) == sph.c_mul_iwahori(mu, lam), (mu, lam)
+        assert verify.suite_parity(sph, 8)[1] and verify.suite_specialization(sph, 8)[1]
         assert set(expanded) <= {w for pair in pairs for w in pair}
         assert all(n == 1 for n in expanded.values()), expanded
-        # the RepRing is shared between instances, so a warm one may
-        # compute no q-analog here
-        assert per_analog == [1] * len(per_analog), per_analog
+        assert walked and all(n == 1 for n in walked.values()), walked
+        assert per_walk == [1] * len(per_walk), per_walk
+
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_warm_product_builds_no_class(self, monkeypatch, name, signed):
+        """Once the factors' ic_expansions and the constituents'
+        ic_functions are cached, c_mul_satake constructs no ICClass and
+        calls neither LaurentPoly.__mul__ nor LaurentPoly.shift; the trace
+        of convolve, which it replaces, does construct classes."""
+        rd = catalog(name)
+        sph = SphericalHecke(rd, signed_trace=signed)
+        pairs = list(dominant_pairs(rd, 8))
+        expected = [sph.c_mul_satake(mu, lam) for mu, lam in pairs]
+        counts = Counter()
+        init, mul, shift = ICClass.__init__, LaurentPoly.__mul__, LaurentPoly.shift
+        monkeypatch.setattr(ICClass, "__init__",
+                            lambda cls, *a, **k: counts.update(["ICClass"]) or init(cls, *a, **k))
+        monkeypatch.setattr(LaurentPoly, "__mul__", lambda p, r: counts.update(["__mul__"]) or mul(p, r))
+        monkeypatch.setattr(LaurentPoly, "shift", lambda p, k: counts.update(["shift"]) or shift(p, k))
+        assert [sph.c_mul_satake(mu, lam) for mu, lam in pairs] == expected
+        assert counts == Counter()
+        mu, lam = pairs[-1]
+        sph.k0.trace_to_hecke(sph.k0.convolve(sph.ic_expansion(mu), sph.ic_expansion(lam)))
+        assert counts["ICClass"] > 0
+
+
+class TestTracedConvolution:
+    """c_mul_satake's one pass, SatakeK0.trace_of_convolution, against the
+    trace of the K0 convolution that it skips, on the factors' K0
+    expansions of every cross-path pair."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("name, dmax", CROSS_PATH_CELLS)
+    def test_equals_trace_of_convolve(self, name, dmax, signed):
+        sph = SphericalHecke(catalog(name), signed_trace=signed)
+        k0 = sph.k0
+        for mu, lam in dominant_pairs(sph.rd, dmax):
+            x, y = sph.ic_expansion(mu), sph.ic_expansion(lam)
+            assert k0.trace_of_convolution(x, y) == k0.trace_to_hecke(k0.convolve(x, y)), (mu, lam)
 
 
 class TestIndicators:

@@ -10,6 +10,7 @@ import satake.root_datum as rdm
 from satake import LaurentPoly, LinComb, catalog, g1_class, g1_ring
 from satake.k0 import ICClass, K0Error, SatakeK0, ic_class, purity_weight
 from satake.laurent import ONE
+from satake.rep_ring import RepRing
 
 from oracles import bilinear, weyl_dim
 
@@ -90,6 +91,41 @@ class TestConvolution:
             conv = k0.convolve_ic(ICClass(mu, 0), ICClass(lam, 0))
             total = sum(p.eval_at_one() * weyl_dim(R, cls.mu) for cls, p in conv.items())
             assert total == weyl_dim(R, mu) * weyl_dim(R, lam)
+
+
+class TestTracedConvolution:
+    """trace_of_convolution against the trace of the K0 element that it
+    never builds; the ic_expansion inputs of c_mul_satake are checked in
+    test_hecke.py."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("name", ["GL(2)", "PGL(2)", "SL(3)", "Sp(4)", "Sp(4)*SL(2)"])
+    def test_twisted_inputs(self, name, signed):
+        rd = catalog(name)
+        k0 = SatakeK0(rd, signed_trace=signed)
+        rng = random.Random(37)
+        reps = rdm.dominant_reps(rd, 4)
+
+        def element():
+            return LinComb((ICClass(rng.choice(reps), rng.randrange(-2, 3)),
+                            P(*((rng.randrange(-2, 3), rng.choice((-2, -1, 1, 3))) for _ in range(2))))
+                           for _ in range(4))
+
+        for _ in range(8):
+            x, y = element(), element()
+            assert any(cls.n for cls in x.keys())
+            assert k0.trace_of_convolution(x, y) == k0.trace_to_hecke(k0.convolve(x, y))
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_odd_offset_refused(self, monkeypatch, traced):
+        """A constituent whose <2rho, -> differs from the factors' sum by an
+        odd number has no integral twist, in either product."""
+        k0 = SatakeK0(catalog("GL(2)"))
+        monkeypatch.setattr(RepRing, "tensor_decompose", lambda R, mu, lam: {(1, 0): 1})
+        x = k0.element((1, 0))
+        product = k0.trace_of_convolution if traced else k0.convolve
+        with pytest.raises(K0Error, match="non-integral twist"):
+            product(x, x)
 
 
 class TestStalkPolynomials:

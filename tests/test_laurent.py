@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from satake import LaurentPoly
+from satake.laurent import add_product
 
 polys = st.dictionaries(st.integers(-10, 10), st.integers(-10**6, 10**6), max_size=6).map(
     lambda d: LaurentPoly(d.items()))
@@ -138,6 +139,8 @@ class TestCanonicalResults:
             (-a, [(e, -c) for e, c in a.terms]),
             (a * b, [(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms]),
             (a + b, list(a.terms) + list(b.terms)),
+            (LaurentPoly.of_dict(add_product({}, a.terms, b.terms, n, -n)),
+             [(e1 + e2 - n, n * c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms]),
         ]
         for got, terms in cases:
             expected = LaurentPoly(terms)

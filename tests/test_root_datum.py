@@ -1,5 +1,6 @@
 """Root data: catalog construction, duality, dominance order, the length
 pairing, the fundamental group, and the modified dual group data."""
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -10,7 +11,9 @@ import satake.root_datum as rdm
 from satake import RootDatumError, catalog, dual
 from satake.lattices import vadd
 
-from oracles import lattice_index_oracle
+from oracles import dominant_below_oracle, lattice_index_oracle
+from test_acceptance import CROSS_PATH_CELLS
+from test_weyl import CARTAN_TYPES, SYSTEM_GROUPS, from_cartan
 
 CATALOG = ["GL(2)", "GL(3)", "SL(2)", "SL(3)", "PGL(2)", "PGL(3)", "Sp(4)", "SO(5)", "torus(1)"]
 
@@ -144,6 +147,38 @@ class TestDominance:
         assert (0, 0) in below
         for lam in below:
             assert rdm.dominance_leq(rd, lam, (2, 2))
+
+
+class TestDominantBelow:
+    """dominant_below walks down from mu by positive coroots through
+    dominant weights only, which reaches every dominant lam <= mu by
+    Stembridge, The partial order of dominant weights, Adv. Math. 136
+    (1998), Cor. 2.7; the oracle enumerates every mu - sum c_i alpha_i^ of
+    height at most <rho, mu> instead."""
+
+    CELLS = ([(name, dmax + 4) for name, dmax in CROSS_PATH_CELLS]
+             + [(name, 8) for name in SYSTEM_GROUPS]
+             + [("G2", 20), ("B3", 12), ("D4", 10), ("F4", 16), ("A2+A1", 10)]
+             + [("GL(6)", 6), ("torus(2)", 4)])
+
+    @pytest.mark.parametrize("name, dmax", CELLS)
+    def test_matches_enumeration(self, name, dmax):
+        rd = from_cartan(name, CARTAN_TYPES[name]) if name in CARTAN_TYPES else catalog(name)
+        reps = rdm.dominant_reps(rd, dmax)
+        assert len(reps) > 1 or not rd.semisimple_rank
+        for mu in reps:
+            assert rdm.dominant_below(rd, mu) == dominant_below_oracle(rd, mu), mu
+
+    @pytest.mark.parametrize("name, mu", [("SL(3)", (1, 1)), ("GL(3)", (1, 0, -1))])
+    def test_simple_coroots_alone_miss_weights(self, name, mu):
+        """A mutant walking by the simple coroots only fails the check
+        above: from the highest coroot of type A2, mu - alpha_i^ is never
+        dominant, so 0 is not reached."""
+        rd = catalog(name)
+        mutant = dataclasses.replace(rd, positive_coroots=rd.simple_coroots)
+        zero = (0,) * rd.rank
+        assert rdm.dominant_below(rd, mu) == dominant_below_oracle(rd, mu) == [zero, mu]
+        assert rdm.dominant_below(mutant, mu) == [mu]
 
 
 class TestLengthPairing:
