@@ -9,6 +9,7 @@ package.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, sub
 
 from . import root_datum as rdm
 from .k0 import ICClass, SatakeK0
@@ -57,30 +58,52 @@ class IwahoriHecke:
         Iwahori-Matsumoto rule: T_w T_s = T_ws if the length goes up,
         else (q-1) T_w + q T_ws.  Keys longer than ``MAX_KEY_LENGTH`` are
         refused with ``KeyLengthError`` before any product is formed; the
-        lengths of b's keys are those of their words.
+        lengths of b's keys are those of their words, and those of a's
+        keys are read from their root pairings.
 
         The running product of each word is a dict
-        {(translation, W_0 index): {exponent: coefficient}} of ints, stepped
-        letter by letter with ``AffineWeylGroup.step``; every word's result,
-        times its coefficient in b, is added into one such dict, and the
-        polynomials and the LinComb are built once, at the end."""
+        {(translation, W_0 index): {exponent: coefficient}} of ints,
+        stepped letter by letter through the move table of
+        ``AffineWeylGroup``.  Each translation's root pairings are formed
+        once per call, in ``pairings``, and an affine letter moves them
+        by the table's column, so each ascent test is one lookup.  Every
+        word's result, times its coefficient in b, is added into one such
+        dict, and the polynomials and the LinComb are built once, at the
+        end."""
         W = self.W
+        table, root_pairings = W._table, W.root_pairings
         factors = [(W.reduced_word(x), p) for x, p in b.items()]
-        lengths = [W.im_length(x) for x in a.keys()] + [len(word) for (_, word), _ in factors]
+        pairings: dict[Vec, list[int]] = {}
+        for w in a.keys():
+            if w.translation not in pairings:
+                pairings[w.translation] = root_pairings(w.translation)
+        lengths = [sum(map(abs, map(sub, pairings[w.translation], w.finite.inverted)))
+                   for w in a.keys()] + [len(word) for (_, word), _ in factors]
         if any(n > MAX_KEY_LENGTH for n in lengths):
             raise KeyLengthError(MAX_KEY_LENGTH)
-        step = W.step
         acc: dict = {}
         for (omega, word), p in factors:
             shift = omega != W.identity
             cur = {}
             for w, c in a.items():
-                y = W.mul(w, omega) if shift else w
-                cur[y.translation, y.finite.index] = dict(c.terms)
+                if shift:
+                    w = W.mul(w, omega)
+                    if w.translation not in pairings:
+                        pairings[w.translation] = root_pairings(w.translation)
+                cur[w.translation, w.finite.index] = dict(c.terms)
             for i in word:
                 nxt: dict = {}
                 for key, poly in cur.items():
-                    key_s, up = step(key, i)
+                    lam, k = key
+                    j, k_s, sign, threshold, move, column = table[k][i]
+                    up = sign * pairings[lam][j] >= threshold
+                    if move is not None:
+                        lam_s = tuple(map(add, lam, move))
+                        if lam_s not in pairings:
+                            pairings[lam_s] = list(map(add, pairings[lam], column))
+                        key_s = (lam_s, k_s)
+                    else:
+                        key_s = (lam, k_s)
                     to_s = nxt.get(key_s)
                     if up and to_s is None:
                         nxt[key_s] = poly
@@ -98,8 +121,8 @@ class IwahoriHecke:
             for key, poly in cur.items():
                 add_product(acc.setdefault(key, {}), poly.items(), p.terms)
         elements = W.W0.elements
-        return LinComb((AffineWeylElement(lam, elements[k]), LaurentPoly.of_dict(poly))
-                       for (lam, k), poly in acc.items() if any(poly.values()))
+        return LinComb._canonical({AffineWeylElement(lam, elements[k]): LaurentPoly.of_dict(poly)
+                                   for (lam, k), poly in acc.items() if any(poly.values())})
 
 
 class SphericalHecke:

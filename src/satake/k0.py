@@ -65,14 +65,23 @@ class SatakeK0:
         each tensor constituent nu, of multiplicity N, of each pair of
         classes a, b of x and y with coefficients p and r.  The term is
         N p r IC_nu(n), n = a.n + b.n + t, with the twist t forced by
-        purity-weight additivity."""
-        right = [(b, r, rdm.d_pairing(self.rd, b.mu)) for b, r in y.items()]
+        purity-weight additivity.  d_pairing is taken once per distinct
+        weight of the call, in ``d``."""
+        d: dict[Vec, int] = {}
+
+        def d_of(mu: Vec) -> int:
+            v = d.get(mu)
+            if v is None:
+                v = d[mu] = rdm.d_pairing(self.rd, mu)
+            return v
+
+        right = [(b, r, d_of(b.mu)) for b, r in y.items()]
         for a, p in x.items():
-            d_a = rdm.d_pairing(self.rd, a.mu)
+            d_a = d_of(a.mu)
             for b, r, d_b in right:
                 n_ab, d_ab = a.n + b.n, d_a + d_b
                 for nu, mult in self.R.tensor_decompose(a.mu, b.mu).items():
-                    offset = rdm.d_pairing(self.rd, nu) - d_ab
+                    offset = d_of(nu) - d_ab
                     if offset % 2 != 0:
                         raise K0Error(f"non-integral twist for constituent {nu}")
                     yield nu, n_ab + offset // 2, p, r, mult

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Callable, Hashable, Iterable
 
-from .laurent import LaurentPoly, add_product
+from .laurent import ONE, LaurentPoly, add_product
 
 
 class LinComb:
@@ -52,6 +52,14 @@ class LinComb:
         raise AttributeError("LinComb is immutable")
 
     @classmethod
+    def _canonical(cls, coeffs: dict) -> "LinComb":
+        """Wrap a dict of distinct keys to nonzero LaurentPoly scalars
+        without summing or checking it; the dict is taken, not copied."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "_coeffs", coeffs)
+        return x
+
+    @classmethod
     def of_products(cls, terms: Iterable[tuple[Hashable, LaurentPoly, LaurentPoly, int]]) -> "LinComb":
         """The sum of n * p * r * key over ``(key, p, r, n)`` terms, int n."""
         acc: dict = {}
@@ -65,7 +73,7 @@ class LinComb:
 
     @classmethod
     def unit(cls, key: Hashable, scalar: LaurentPoly | None = None) -> "LinComb":
-        return cls(((key, scalar if scalar is not None else LaurentPoly.one()),))
+        return cls(((key, ONE if scalar is None else scalar),))
 
     def coefficient(self, key: Hashable) -> LaurentPoly:
         return self._coeffs.get(key, LaurentPoly.zero())

@@ -186,22 +186,17 @@ class AffineWeylGroup:
         self.simple_refs: list[AffineWeylElement] = [
             AffineWeylElement(zero_vec(rd.rank), g) for g in W0.generators
         ]
-        # _moves[k][i] = (j, index of w s_i) for w = W0.elements[k], with
-        # alpha_j = +-w alpha_i for a finite s_i and +-w theta for s_0
-        self._moves = [list(zip(W0.flip[k], W0._right[k])) for k in range(len(W0))]
         roots = set(rd.positive_root_coords)
         unit = lattices.identity_matrix(rd.semisimple_rank)
         highest = [c for c in rd.positive_root_coords if all(vadd(c, e) not in roots for e in unit)]
+        affine = []
         for theta in sorted(highest, reverse=True):
             theta_cov = rd.positive_coroots[rd.positive_root_coords.index(theta)]
             u, m = self._simple_conjugate(theta_cov)
             s_theta = W0.mul(W0.mul(u, W0.generators[m]), W0.inverse(u))
             self.simple_refs.append(AffineWeylElement(theta_cov, s_theta))
-            # w theta = (wu) alpha_m
-            for w, moves in zip(W0.elements, self._moves):
-                moves.append((W0.flip[W0.mul(w, u).index][m], W0.mul(w, s_theta).index))
-        # _coroot_columns[j] = <alpha, alpha_j^> over the positive roots alpha
-        self._coroot_columns = [tuple(self.root_pairings(bv)) for bv in rd.positive_coroots]
+            affine.append((u, m, s_theta))
+        self._table = self._move_table(affine)
 
     # -- structure ----------------------------------------------------
 
@@ -218,6 +213,53 @@ class AffineWeylGroup:
             u = self.W0.mul(u, self.W0.generators[i])
         return u, rd.simple_coroots.index(bv)
 
+    def _move_table(self, affine) -> list[list[tuple]]:
+        """The move table: ``table[k][i] = (j, k_s, sign, threshold, move,
+        column)`` for w = W0.elements[k] and the i-th affine simple
+        reflection, from the (u, m, s_theta) of each affine one, where
+        theta^ = u alpha_m^.  Every step, reduced word and Hecke product
+        reads this table.
+
+        alpha_j is the positive root +-w alpha_i for a finite s_i, and
+        +-w theta = +-(wu) alpha_m for s_0 = t_{theta^} s_theta; the sign
+        is - exactly when w inverts alpha_j, i.e. its flag f is 1.  k_s
+        is the index of w s_i or w s_theta.  A finite s_i keeps the
+        translation: x s_i = t_lam (w s_i).  s_0 gives
+        t_{lam + w theta^} (w s_theta), so ``move`` is the signed coroot
+        +-alpha_j^ added to lam and ``column`` the signed pairings
+        +-<alpha, alpha_j^> over the positive roots alpha added to those
+        of lam; both are None for a finite letter.
+
+        For x = t_lam w and k = <alpha_j, lam>, l(x s_i) > l(x) iff
+        sign * k >= threshold.  For a finite s_i the flags of w and w s_i
+        differ only at j, so the length formula changes by |k - 1 + f| -
+        |k - f|: it goes up exactly when (k > 0) == f, i.e. k >= 1 if
+        f = 1 and -k >= 0 if f = 0.  An affine s_0 = t_{theta^} s_theta
+        is the reflection in the affine root 1 - theta, which x sends to
+        (1 + <w theta, lam>) - w theta; the length goes up iff that root
+        is positive, i.e. its constant is > 0, or is 0 and its linear
+        part is a positive root.  If f = 0, w theta = alpha_j and the
+        test is 1 + k > 0, i.e. k >= 0; if f = 1, w theta = -alpha_j and
+        the test is 1 - k >= 0, i.e. -k >= -1."""
+        W0, rd = self.W0, self.rd
+        # signed[f][j] = (move, column) of alpha_j with flag f
+        plus = [(bv, tuple(self.root_pairings(bv))) for bv in rd.positive_coroots]
+        signed = (plus, [(tuple(-c for c in bv), tuple(-c for c in col)) for bv, col in plus])
+        table = []
+        for w in W0.elements:
+            flags = w.inverted
+            row = []
+            for j, k_s in zip(W0.flip[w.index], W0._right[w.index]):
+                sign, threshold = (1, 1) if flags[j] else (-1, 0)
+                row.append((j, k_s, sign, threshold, None, None))
+            for u, m, s_theta in affine:
+                j = W0.flip[W0.mul(w, u).index][m]
+                f = flags[j]
+                sign, threshold = (-1, -1) if f else (1, 0)
+                row.append((j, W0.mul(w, s_theta).index, sign, threshold) + signed[f][j])
+            table.append(row)
+        return table
+
     # -- group operations ---------------------------------------------
 
     def translation(self, lam: Vec) -> AffineWeylElement:
@@ -232,27 +274,23 @@ class AffineWeylGroup:
     def step(self, key: Key, i: int) -> tuple[Key, bool]:
         """(key of x s_i, whether l(x s_i) > l(x)) for the i-th affine
         simple reflection and x = t_lam w with key (lam, w.index), read
-        from the tables with one root pairing and no matrix product.
-
-        ``_moves`` gives the positive root alpha_j = +-w alpha_i (finite
-        s_i) or +-w theta (affine s_0 = t_{theta^} s_theta) and the index
-        of w s_i or w s_theta; the sign is - exactly when w inverts
-        alpha_j, i.e. its flag f is 1.  A finite s_i keeps the translation,
-        and s_0 gives t_{lam + w theta^} (w s_theta) = t_{lam +- alpha_j^}.
-        The length change is decided by <alpha_j, lam> (``_ascends``)."""
+        from the move table (``_move_table``) with no matrix product."""
         lam, k = key
-        j, k_s = self._moves[k][i]
-        f = self.W0.elements[k].inverted[j]
-        finite = i < len(self.W0.generators)
-        up = _ascends(finite, f, sum(map(operator.mul, self.rd.positive_root_rows[j], lam)))
-        if not finite:
-            lam = (vsub if f else vadd)(lam, self.rd.positive_coroots[j])
+        j, k_s, sign, threshold, move, _ = self._table[k][i]
+        up = sign * self.root_pairings(lam)[j] >= threshold
+        if move is not None:
+            lam = vadd(lam, move)
         return (lam, k_s), up
 
     def word_to_element(self, word: Iterable[int]) -> AffineWeylElement:
+        """The product of the affine simple reflections along ``word``,
+        walked through the move table; no root is paired."""
         lam, k = self.identity.translation, 0
+        table = self._table
         for i in word:
-            (lam, k), _ = self.step((lam, k), i)
+            _, k, _, _, move, _ = table[k][i]
+            if move is not None:
+                lam = tuple(map(operator.add, lam, move))
         return AffineWeylElement(lam, self.W0.elements[k])
 
     # -- length and reduced words --------------------------------------
@@ -260,9 +298,8 @@ class AffineWeylGroup:
     def im_length(self, x: AffineWeylElement) -> int:
         """Iwahori-Matsumoto length of t_lam w: the sum over positive roots
         alpha of |<alpha, lam>| if w^-1 alpha > 0, else |<alpha, lam> - 1|."""
-        lam = x.translation
-        return sum(abs(sum(r * c for r, c in zip(row, lam)) - inv)
-                   for row, inv in zip(self.rd.positive_root_rows, x.finite.inverted))
+        return sum(map(abs, map(operator.sub, self.root_pairings(x.translation),
+                                x.finite.inverted)))
 
     def min_coset_length(self, nu: Vec) -> int:
         """min over w in W_0 of l(t_nu w), the length of the minimal
@@ -283,10 +320,11 @@ class AffineWeylGroup:
         flags = tuple(int(k > 0) for k in self.root_pairings(nu))
         return AffineWeylElement(tuple(nu), self.W0.by_inverted[flags])
 
-    def root_pairings(self, nu: Vec):
+    def root_pairings(self, nu: Vec) -> list[int]:
         """<alpha, nu> for each positive root alpha, in the order of the
-        inversion flags."""
-        return (sum(r * c for r, c in zip(row, nu)) for row in self.rd.positive_root_rows)
+        inversion flags.  Lengths, descent tests and the move table's
+        columns read their pairings from here."""
+        return [sum(map(operator.mul, row, nu)) for row in self.rd.positive_root_rows]
 
     def reduced_word(self, x: AffineWeylElement) -> tuple[AffineWeylElement, tuple[int, ...]]:
         """Right-greedy reduced word; returns (omega, word) with
@@ -299,28 +337,24 @@ class AffineWeylGroup:
         at length zero is omega.  The pairings <alpha, lam> of y's
         translation are computed once: an affine letter moves lam by
         +-alpha_j^, so they move by the stored column <alpha, alpha_j^>,
-        and each descent test reads one of them."""
-        W0 = self.W0
-        n = len(W0.generators)
+        and each descent test reads one of them from the move table."""
+        table = self._table
         lam, k = x.translation, x.finite.index
-        pairings = list(self.root_pairings(lam))
+        pairings = self.root_pairings(lam)
         word: list[int] = []
         # im_length(x), read from the pairings
         for _ in range(sum(map(abs, map(operator.sub, pairings, x.finite.inverted)))):
-            flags = W0.elements[k].inverted
-            for i, (j, k_s) in enumerate(self._moves[k]):
-                if not _ascends(i < n, flags[j], pairings[j]):
+            for i, (j, k_s, sign, threshold, move, column) in enumerate(table[k]):
+                if sign * pairings[j] < threshold:
                     break
             else:
                 raise WeylError(f"no descent for positive-length element {x!r}")
             word.append(i)
             k = k_s
-            if i >= n:
-                f = flags[j]
-                lam = (vsub if f else vadd)(lam, self.rd.positive_coroots[j])
-                pairings = list(map(operator.sub if f else operator.add, pairings,
-                                    self._coroot_columns[j]))
-        return AffineWeylElement(lam, W0.elements[k]), tuple(reversed(word))
+            if move is not None:
+                lam = tuple(map(operator.add, lam, move))
+                pairings = list(map(operator.add, pairings, column))
+        return AffineWeylElement(lam, self.W0.elements[k]), tuple(reversed(word))
 
     # -- W_0-orbits ------------------------------------------------------
 
@@ -334,25 +368,6 @@ class AffineWeylGroup:
         beta > 0 inverted, so <alpha, u^-1 lam> = -<beta, lam> > 0."""
         flags = tuple(int(k < 0) for k in self.root_pairings(lam))
         return self.W0.inverse(self.W0.by_inverted[flags]).apply_cochar(lam)
-
-
-def _ascends(finite: bool, f: int, k: int) -> bool:
-    """Whether l(x s_i) > l(x) for x = t_lam w, from the root alpha_j of
-    ``AffineWeylGroup.step``, k = <alpha_j, lam> and the inversion flag f
-    of w at alpha_j.
-
-    For a finite s_i, x s_i = t_lam (w s_i) and the flags of w and w s_i
-    differ only at j, so the length formula changes by |k - 1 + f| -
-    |k - f|: it goes up exactly when (k > 0) == f.  An affine
-    s_0 = t_{theta^} s_theta is the reflection in the affine root
-    1 - theta, which x sends to (1 + <w theta, lam>) - w theta; the length
-    goes up iff that root is positive, i.e. its constant is > 0, or is 0
-    and its linear part is a positive root.  If f = 0, w theta = alpha_j
-    and the test is 1 + k > 0; if f = 1, w theta = -alpha_j and the test
-    is 1 - k >= 0."""
-    if finite:
-        return (k > 0) == f
-    return k <= 1 if f else k >= 0
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Iwahori-Hecke multiplication, the spherical algebra on the indicator
 basis with its two independent multiplication paths, trace functions, and
 the transform onto the twisted representation ring."""
+import functools
 import itertools
 import random
 from collections import Counter
@@ -99,15 +100,34 @@ def random_comb(W, rng, terms, max_length=5):
                    for _ in range(terms))
 
 
+def oracle_datum(name):
+    return from_cartan(name, CARTAN_TYPES[name]) if name in CARTAN_TYPES else catalog(name)
+
+
 class TestStepwiseOracle:
     """IwahoriHecke.mul, on integer keys into one accumulator, against the
-    oracle's per-letter LinComb route with lengths measured at each step."""
+    oracle's per-letter LinComb route with lengths measured at each step;
+    and word_to_element against the affine product, neither of which
+    reads the move table."""
 
     @pytest.fixture(params=ORACLE_GROUPS)
     def iw(self, request):
-        name = request.param
-        rd = from_cartan(name, CARTAN_TYPES[name]) if name in CARTAN_TYPES else catalog(name)
-        return IwahoriHecke(rd)
+        return IwahoriHecke(oracle_datum(request.param))
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS + ["GL(6)"])
+    def test_word_to_element_is_the_fold_of_mul(self, name):
+        """The left fold of W.mul over W.simple_refs[i], on words that
+        each hold an affine letter."""
+        W = affine_weyl_group(oracle_datum(name))
+        n, total = len(W.W0.generators), len(W.simple_refs)
+        assert total > n
+        rng = random.Random(71)
+        for size in (1, 2, 3, 6, 12, 24):
+            for _ in range(12):
+                word = [rng.randrange(total) for _ in range(size)]
+                word[rng.randrange(size)] = rng.randrange(n, total)
+                expected = functools.reduce(W.mul, (W.simple_refs[i] for i in word), W.identity)
+                assert W.word_to_element(word) == expected, (name, word)
 
     def test_random_products(self, iw):
         rng = random.Random(59)
@@ -152,9 +172,10 @@ class TestStepwiseOracle:
 
 
 class TestWorkCounts:
-    """The cost shape of the Iwahori path, pinned by counting calls: one
-    length per key of the left factor, one pairing vector per word, no
-    matrix product per letter of a word, and one LinComb per product."""
+    """The cost shape of the Iwahori path, pinned by counting calls: no
+    length measured by the product itself, one pairing vector per word
+    and per translation of the left factor, no matrix product per letter
+    of a word, and one LinComb per product."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -206,24 +227,44 @@ class TestWorkCounts:
             iw.mul(x, y)
         assert calls == []
 
-    @pytest.mark.parametrize("name", ["SL(3)", "Sp(4)*SL(2)"])
-    def test_mul_measures_each_key_once(self, counts, name):
+    @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_mul_measures_each_key_once(self, counts, monkeypatch, name):
+        """The product measures no length: the guard reads the lengths of
+        a's keys from their pairing vectors, and each distinct translation
+        of a's keys, before and after the omega shift, is paired at most
+        once; the guard still needs every translation of a paired.  The
+        words of b are read from a memo, so every pairing counted is the
+        product's own (``test_reduced_word_measures_once`` pins theirs)."""
         rd = catalog(name)
         sph = SphericalHecke(rd)
-        iw = sph.iwahori
+        iw, W = sph.iwahori, sph.W
         rng = random.Random(43)
         mu = rdm.dominant_reps(rd, 4)[-1]
         a = indicator_from_iwahori(sph, mu)
-        b = LinComb((random_element(iw.W, rng), ONE) for _ in range(5))
+        omegas = omega_elements(W, box=1)
+        b = LinComb((W.mul(rng.choice(omegas), random_element(W, rng)), ONE) for _ in range(5))
+        words = {x: W.reduced_word(x) for x in b.keys()}
+        shifts = {omega for omega, _ in words.values()}
+        assert name != "GL(3)" or len(shifts - {W.identity}) >= 2
+        left = {w.translation for w in a.keys()}
+        shifted = {W.mul(w, omega).translation for w in a.keys() for omega in shifts}
+        paired = []
+        root_pairings = AffineWeylGroup.root_pairings
+        monkeypatch.setattr(AffineWeylGroup, "reduced_word", lambda W, x: words[x])
+        monkeypatch.setattr(AffineWeylGroup, "root_pairings",
+                            lambda W, nu: paired.append(nu) or root_pairings(W, nu))
         counts.update(im_length=0)
         iw.mul(a, b)
-        assert counts["im_length"] == len(a)
+        assert counts["im_length"] == 0
+        assert len(paired) == len(set(paired)), Counter(paired).most_common(3)
+        assert left <= set(paired) <= left | shifted
 
     @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
     def test_c_mul_multiplies_the_left_minimal_elements_once(self, counts, monkeypatch, name):
         """One IwahoriHecke.mul per uncached product, with a left factor of
-        |W_0 mu| keys; the only lengths measured are those of the left
-        factor's and the product's keys, so no double coset is enumerated."""
+        |W_0 mu| keys; the only lengths measured are those of the
+        product's keys, so no double coset is enumerated and the product
+        measures none."""
         calls = []
         mul = IwahoriHecke.mul
 
@@ -241,7 +282,7 @@ class TestWorkCounts:
             sph.c_mul_iwahori(mu, lam)
             ((left, right, out),) = calls
             assert left == len(orbit_oracle(rd, mu)) and right == 1, (mu, lam)
-            assert counts["im_length"] == left + out, (mu, lam, counts)
+            assert counts["im_length"] == out, (mu, lam, counts)
             calls.clear()
             sph.c_mul_iwahori(mu, lam)
             assert calls == []
@@ -259,11 +300,13 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("name", ["PGL(2)", "GL(3)", "Sp(4)*SL(2)"])
     def test_mul_builds_one_lincomb_whatever_the_word_length(self, monkeypatch, name):
-        """The running products are int dicts: one LinComb per product and
-        one LaurentPoly per key of the result, however long the words."""
+        """The running products are int dicts: one LinComb per product,
+        wrapped from its distinct keys by ``LinComb._canonical`` with no
+        summing constructor, and one LaurentPoly per key of the result,
+        however long the words."""
         built = Counter()
         lincomb_init, canonical = LinComb.__init__, LaurentPoly._canonical.__func__
-        laurent_init = LaurentPoly.__init__
+        laurent_init, lincomb_canonical = LaurentPoly.__init__, LinComb._canonical.__func__
 
         def counted(kind, f):
             def wrapper(*args, **kwargs):
@@ -272,6 +315,8 @@ class TestWorkCounts:
             return wrapper
 
         monkeypatch.setattr(LinComb, "__init__", counted("LinComb", lincomb_init))
+        monkeypatch.setattr(LinComb, "_canonical",
+                            classmethod(counted("LinComb._canonical", lincomb_canonical)))
         monkeypatch.setattr(LaurentPoly, "__init__", counted("LaurentPoly", laurent_init))
         monkeypatch.setattr(LaurentPoly, "_canonical",
                             classmethod(counted("LaurentPoly", canonical)))
@@ -285,7 +330,7 @@ class TestWorkCounts:
                                             for _ in range(size)]))
             built.clear()
             out = iw.mul(a, b)
-            assert built == {"LinComb": 1, "LaurentPoly": len(out)}, (size, built)
+            assert built == {"LinComb._canonical": 1, "LaurentPoly": len(out)}, (size, built)
 
 
 class TestDualWorkCounts:

@@ -304,8 +304,9 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("name", ["GL(2)", "SL(3)", "Sp(4)"])
     def test_convolve_pairs_each_factor_weight_once(self, monkeypatch, name):
-        """<2rho, -> of a factor weight is taken once per class of x and of
-        y, not once per pair; each constituent still takes one."""
+        """<2rho, -> is taken once per distinct weight of a call: of the
+        factor weights and of the tensor constituents, not once per pair
+        or per constituent term."""
         rd = catalog(name)
         k0 = SatakeK0(rd)
         rng = random.Random(29)
@@ -313,10 +314,12 @@ class TestWorkCounts:
         x, y = (LinComb((ICClass(rng.choice(reps), rng.randrange(-1, 2)), ONE) for _ in range(4))
                 for _ in range(2))
         expected = k0.convolve(x, y)
-        constituents = sum(len(k0.R.tensor_decompose(a.mu, b.mu)) for a in x.keys() for b in y.keys())
+        weights = {c.mu for c in itertools.chain(x.keys(), y.keys())}
+        weights.update(nu for a in x.keys() for b in y.keys()
+                       for nu in k0.R.tensor_decompose(a.mu, b.mu))
         calls = []
         d_pairing = rdm.d_pairing
         monkeypatch.setattr(rdm, "d_pairing", lambda rd, v: calls.append(v) or d_pairing(rd, v))
         assert k0.convolve(x, y) == expected
-        assert len(calls) == len(x) + len(y) + constituents
+        assert sorted(calls) == sorted(weights)
 
