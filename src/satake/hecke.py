@@ -267,19 +267,25 @@ class SphericalHecke:
         whose trace is f, by back-substitution along the dominance order
         (the change of basis is unitriangular).  The remainder is one
         {weight: {exponent: coefficient}} dict of ints, from which each
-        step subtracts a_mu ic_function(mu) in place."""
+        step subtracts a_mu ic_function(mu) in place.  The pivot is the
+        remaining weight of largest (d_mu, mu); d_mu is taken once per
+        weight, as the weight first enters the remainder, and its parity
+        gives the pivot's sign, as in SatakeK0.sign."""
         remaining = {mu: dict(p.terms) for mu, p in f.items()}
+        d = {mu: rdm.d_pairing(self.rd, mu) for mu in remaining}
         out = []
         guard = 0
         while remaining:
             guard += 1
             if guard > 10000:
                 raise HeckeError("basis change did not terminate")
-            mu = max(remaining, key=lambda v: (rdm.d_pairing(self.rd, v), v))
+            mu = max(remaining, key=lambda v: (d[v], v))
             lead = LaurentPoly.of_dict(remaining[mu])
-            a = lead if self.k0.sign(mu) == 1 else -lead
+            a = -lead if self.k0.signed_trace and d[mu] % 2 else lead
             out.append((ICClass(mu, 0), a))
             for lam, h in self.k0.ic_function(mu).items():
+                if lam not in d:
+                    d[lam] = rdm.d_pairing(self.rd, lam)
                 acc = add_product(remaining.setdefault(lam, {}), h.terms, a.terms, -1)
                 if not any(acc.values()):
                     del remaining[lam]

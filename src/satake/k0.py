@@ -165,11 +165,10 @@ class SatakeK0:
         for lam in rdm.dominant_below(self.rd, mu):
             try:
                 h = self.stalk_polynomial(mu, lam)
-                nonneg_exp = h.has_nonnegative_exponents() or h.is_zero()
-            except K0Error:
+            except K0Error:  # its only refusal: a negative exponent
                 h = None
-                nonneg_exp = False
-            nonneg_coeff = h is not None and h.has_nonnegative_coefficients()
+            nonneg_exp = h is not None
+            nonneg_coeff = nonneg_exp and h.has_nonnegative_coefficients()
             rows.append({
                 "lam": lam,
                 "poly": str(h) if h is not None else "INVALID",

@@ -168,8 +168,8 @@ class RepRing:
 
 def _descents(rd: RootDatum, x: Vec):
     """(i, p, s_i x = x - p alpha_i^) for each p = <alpha_i, x> > 0."""
-    for i, (row, coroot) in enumerate(zip(rd.simple_root_rows, rd.simple_coroots)):
-        p = sum(r * c for r, c in zip(row, x))
+    for i, (alpha, coroot) in enumerate(zip(rd.simple_roots, rd.simple_coroots)):
+        p = sum(r * c for r, c in zip(alpha, x))
         if p > 0:
             yield i, p, tuple(c - p * a for c, a in zip(x, coroot))
 
@@ -191,8 +191,8 @@ def _straighten(rd: RootDatum, x: Vec) -> tuple[Vec, bool] | None:
     leaves x on a hyperplane exactly when it started on one."""
     odd = False
     while True:
-        for row, coroot in zip(rd.simple_root_rows, rd.simple_coroots):
-            p = sum(r * c for r, c in zip(row, x))
+        for alpha, coroot in zip(rd.simple_roots, rd.simple_coroots):
+            p = sum(r * c for r, c in zip(alpha, x))
             if p <= 0:
                 break
         else:

@@ -1,9 +1,12 @@
 """Based root data of split reductive groups and their duals.
 
-A root datum stores the character and cocharacter lattices as Z^rank in a
-fixed basis, an explicit integer pairing matrix, and the simple (co)roots.
-The pairing is *not* assumed to be the identity, so GL_n, SL_n, PGL_n and
-Sp_4 all live in the same framework.  Everything downstream (Weyl groups,
+A root datum stores the cocharacter lattice X_* as Z^rank in a fixed
+basis and the character lattice X^* as Z^rank in the dual basis, so the
+pairing <chi, lam> is the dot product and a root is its own functional on
+X_*.  Any based root datum has such a presentation: GL_n, SL_n, PGL_n and
+Sp_4 differ only in their simple roots and coroots, and a new family is
+its Cartan rows as simple roots with the unit vectors as coroots.  The
+Langlands dual swaps the two lists.  Everything downstream (Weyl groups,
 Hecke algebras, the dual representation ring) is driven by this data.
 """
 from __future__ import annotations
@@ -26,31 +29,29 @@ class RootDatumError(ValueError):
 class RootDatum:
     """A based root datum; immutable and hashable, safe to share.
 
-    ``positive_root_coords[k]`` holds the simple-root coordinates of
-    ``positive_roots[k]``, ``positive_coroot_coords[k]`` the simple-coroot
-    coordinates of ``positive_coroots[k]``, ``positive_root_rows[k]`` is
-    the functional <beta_k, -> on X_* as an integer row,
-    ``simple_root_rows[i]`` is <alpha_i, -> likewise and ``two_rho_row``
-    is <2rho, ->, the sum of the positive root rows; all five are derived
-    from the other fields and take no part in equality or hashing.
+    Characters are written in the basis dual to that of the cocharacters,
+    so ``pair`` is the dot product and ``positive_roots[k]`` is also the
+    functional <beta_k, -> on X_*.  ``positive_root_coords[k]`` holds the
+    simple-root coordinates of ``positive_roots[k]``,
+    ``positive_coroot_coords[k]`` the simple-coroot coordinates of
+    ``positive_coroots[k]`` and ``two_rho_row`` is 2rho, the sum of the
+    positive roots; all three are derived from the other fields and take
+    no part in equality or hashing.
     """
 
     name: str
     rank: int
-    pairing: tuple[Vec, ...]          # rows indexed by X*, columns by X_*
     simple_roots: tuple[Vec, ...]     # in X*
     simple_coroots: tuple[Vec, ...]   # in X_*, bijective with simple_roots
     positive_roots: tuple[Vec, ...]   # aligned with positive_coroots
     positive_coroots: tuple[Vec, ...]
     positive_root_coords: tuple[Vec, ...] = field(compare=False)
     positive_coroot_coords: tuple[Vec, ...] = field(compare=False)
-    positive_root_rows: tuple[Vec, ...] = field(compare=False)
-    simple_root_rows: tuple[Vec, ...] = field(compare=False)
     two_rho_row: Vec = field(compare=False)
 
     def pair(self, chi: Vec, lam: Vec) -> int:
-        """The bilinear pairing <chi, lam> of a character with a cocharacter."""
-        return sum(c * sum(p * x for p, x in zip(row, lam)) for c, row in zip(chi, self.pairing))
+        """The pairing <chi, lam> of a character with a cocharacter."""
+        return sum(c * x for c, x in zip(chi, lam))
 
     @property
     def semisimple_rank(self) -> int:
@@ -58,7 +59,7 @@ class RootDatum:
 
     def two_rho(self) -> Vec:
         """Sum of the positive roots, an element of X*."""
-        return lattices.combination((1,) * len(self.positive_roots), self.positive_roots, self.rank)
+        return self.two_rho_row
 
     def two_rho_hat(self) -> Vec:
         """Sum of the positive coroots, an element of X_*."""
@@ -66,13 +67,13 @@ class RootDatum:
 
     def cartan_matrix(self) -> tuple[Vec, ...]:
         """Rows <alpha_i, alpha_j^> over j, one per simple root alpha_i."""
-        return tuple(mat_vec(self.simple_coroots, row) for row in self.simple_root_rows)
+        return tuple(mat_vec(self.simple_coroots, alpha) for alpha in self.simple_roots)
 
     def to_json(self) -> str:
         doc = {
             "name": self.name,
             "rank": self.rank,
-            "pairing_matrix": [list(r) for r in self.pairing],
+            "pairing_matrix": [list(r) for r in lattices.identity_matrix(self.rank)],
             "simple_roots": [list(r) for r in self.simple_roots],
             "simple_coroots": [list(r) for r in self.simple_coroots],
         }
@@ -82,7 +83,7 @@ class RootDatum:
         return f"RootDatum({self.name})"
 
 
-def _saturate_positives(pairing, simple_roots, simple_coroots, simple_root_rows):
+def _saturate_positives(simple_roots, simple_coroots):
     """Close the simple (root, coroot) pairs under simple reflections,
     keeping those in the nonnegative cone of simple roots.
 
@@ -90,7 +91,6 @@ def _saturate_positives(pairing, simple_roots, simple_coroots, simple_root_rows)
     coordinates in the simple roots and in the simple coroots."""
     n = len(simple_roots)
     unit = lattices.identity_matrix(n)
-    coroot_rows = [mat_vec(pairing, av) for av in simple_coroots]  # <-, alpha_i^> on X*
     # root -> (coroot, simple-root coordinates, simple-coroot coordinates)
     items = {simple_roots[i]: (simple_coroots[i], unit[i], unit[i]) for i in range(n)}
     frontier = list(items)
@@ -100,12 +100,12 @@ def _saturate_positives(pairing, simple_roots, simple_coroots, simple_root_rows)
             bv, coeffs, co_coeffs = items[beta]
             for i in range(n):
                 # s_i beta = beta - <beta, alpha_i^> alpha_i
-                c = sum(b * r for b, r in zip(beta, coroot_rows[i]))
+                c = sum(b * r for b, r in zip(beta, simple_coroots[i]))
                 nbeta = vsub(beta, lattices.vscale(c, simple_roots[i]))
                 ncoeffs = vsub(coeffs, lattices.vscale(c, unit[i]))
                 if all(x >= 0 for x in ncoeffs) and nbeta not in items:
                     # s_i beta^ = beta^ - <alpha_i, beta^> alpha_i^
-                    cb = sum(r * b for r, b in zip(simple_root_rows[i], bv))
+                    cb = sum(r * b for r, b in zip(simple_roots[i], bv))
                     nbv = vsub(bv, lattices.vscale(cb, simple_coroots[i]))
                     items[nbeta] = (nbv, ncoeffs, vsub(co_coeffs, lattices.vscale(cb, unit[i])))
                     new.append(nbeta)
@@ -116,22 +116,23 @@ def _saturate_positives(pairing, simple_roots, simple_coroots, simple_root_rows)
     return tuple(ordered), coroots, coords, co_coords
 
 
-def make_root_datum(name, rank, pairing, simple_roots, simple_coroots) -> RootDatum:
+def make_root_datum(name, rank, simple_roots, simple_coroots) -> RootDatum:
+    """The datum with these simple roots, in the basis of X^* dual to that
+    of X_*, and simple coroots, in X_* = Z^rank."""
     if rank <= 0:
         raise RootDatumError(f"nonpositive rank {rank}")
-    pairing = tuple(tuple(r) for r in pairing)
     simple_roots = tuple(tuple(r) for r in simple_roots)
     simple_coroots = tuple(tuple(r) for r in simple_coroots)
     if len(simple_roots) != len(simple_coroots):
         raise RootDatumError("simple roots and coroots must biject")
-    cols = lattices.transpose(pairing)
-    simple_rows = tuple(mat_vec(cols, alpha) for alpha in simple_roots)
+    for v in simple_roots + simple_coroots:
+        if len(v) != rank:
+            raise RootDatumError(f"simple (co)root {v} has length {len(v)}, not the rank {rank}")
     pos_roots, pos_coroots, root_coords, coroot_coords = \
-        _saturate_positives(pairing, simple_roots, simple_coroots, simple_rows)
-    root_rows = tuple(mat_vec(cols, beta) for beta in pos_roots)
-    rd = RootDatum(name, rank, pairing, simple_roots, simple_coroots, pos_roots, pos_coroots,
-                   root_coords, coroot_coords, root_rows, simple_rows,
-                   lattices.combination((1,) * len(root_rows), root_rows, rank))
+        _saturate_positives(simple_roots, simple_coroots)
+    rd = RootDatum(name, rank, simple_roots, simple_coroots, pos_roots, pos_coroots,
+                   root_coords, coroot_coords,
+                   lattices.combination((1,) * len(pos_roots), pos_roots, rank))
     _validate(rd)
     return rd
 
@@ -167,37 +168,33 @@ def _gl(n: int) -> RootDatum:
         raise RootDatumError("GL(n) needs n >= 1")
     e = lattices.identity_matrix(n)
     roots = [vsub(e[i], e[i + 1]) for i in range(n - 1)]
-    return make_root_datum(f"GL({n})", n, e, roots, roots)
+    return make_root_datum(f"GL({n})", n, roots, roots)
 
 
 def _sl(n: int) -> RootDatum:
     if n < 2:
         raise RootDatumError("SL(n) needs n >= 2")
     r = n - 1
-    # characters in the fundamental-weight basis, cocharacters in the
-    # simple-coroot basis; the pairing is then the identity and the simple
-    # roots are the rows of the Cartan matrix.
-    e = lattices.identity_matrix(r)
-    cartan = _cartan_A(r)
-    return make_root_datum(f"SL({n})", r, e, [tuple(row) for row in cartan], e)
+    # cocharacters in the simple-coroot basis, characters in its dual, the
+    # fundamental-weight basis: the simple roots are the Cartan rows
+    return make_root_datum(f"SL({n})", r, _cartan_A(r), lattices.identity_matrix(r))
 
 
 def _sp4() -> RootDatum:
     # type C2 on the standard lattice Z^2: long root 2e_2, short root e_1 - e_2
-    e = lattices.identity_matrix(2)
     roots = [(1, -1), (0, 2)]
     coroots = [(1, -1), (0, 1)]
-    return make_root_datum("Sp(4)", 2, e, roots, coroots)
+    return make_root_datum("Sp(4)", 2, roots, coroots)
 
 
 def _torus(n: int) -> RootDatum:
     if n < 1:
         raise RootDatumError("torus(n) needs n >= 1")
-    return make_root_datum(f"torus({n})", n, lattices.identity_matrix(n), [], [])
+    return make_root_datum(f"torus({n})", n, [], [])
 
 
 def product(a: RootDatum, b: RootDatum) -> RootDatum:
-    """Direct product, block sums of all data."""
+    """Direct product, (co)roots embedded blockwise."""
     ra, rb = a.rank, b.rank
 
     def embed_a(v):
@@ -206,11 +203,9 @@ def product(a: RootDatum, b: RootDatum) -> RootDatum:
     def embed_b(v):
         return zero_vec(ra) + tuple(v)
 
-    pairing = tuple(tuple(a.pairing[i]) + zero_vec(rb) for i in range(ra)) + \
-        tuple(zero_vec(ra) + tuple(b.pairing[i]) for i in range(rb))
     roots = [embed_a(r) for r in a.simple_roots] + [embed_b(r) for r in b.simple_roots]
     coroots = [embed_a(r) for r in a.simple_coroots] + [embed_b(r) for r in b.simple_coroots]
-    return make_root_datum(f"{a.name}*{b.name}", ra + rb, pairing, roots, coroots)
+    return make_root_datum(f"{a.name}*{b.name}", ra + rb, roots, coroots)
 
 
 _DUAL_NAMES = {"GL": "GL", "SL": "PGL", "PGL": "SL", "Sp": "SO", "SO": "Sp", "torus": "torus"}
@@ -288,15 +283,9 @@ def _dual_name(name: str) -> str:
 
 
 def dual(rd: RootDatum) -> RootDatum:
-    """The Langlands dual datum: lattices and (co)roots swapped, pairing
-    transposed."""
-    return make_root_datum(
-        _dual_name(rd.name),
-        rd.rank,
-        lattices.transpose(rd.pairing),
-        rd.simple_coroots,
-        rd.simple_roots,
-    )
+    """The Langlands dual datum: X^* and X_* swap, and so do the simple
+    roots and coroots; the dual bases stay dual, so nothing else moves."""
+    return make_root_datum(_dual_name(rd.name), rd.rank, rd.simple_coroots, rd.simple_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +293,7 @@ def dual(rd: RootDatum) -> RootDatum:
 
 
 def is_dominant(rd: RootDatum, mu: Vec) -> bool:
-    return all(sum(r * x for r, x in zip(row, mu)) >= 0 for row in rd.simple_root_rows)
+    return all(sum(r * x for r, x in zip(alpha, mu)) >= 0 for alpha in rd.simple_roots)
 
 
 def assert_dominant(rd: RootDatum, mu: Vec) -> Vec:
@@ -398,8 +387,8 @@ def dominant_reps(rd: RootDatum, dmax: int) -> list[Vec]:
     # in the positive roots: the column sums of their simple-root coordinates
     weights = lattices.combination((1,) * len(rd.positive_roots), rd.positive_root_coords, n)
     # column j holds the pairings <alpha_i, e_j> of the simple roots with
-    # the j-th basis vector of X_*
-    columns = lattices.transpose(rd.simple_root_rows)
+    # the j-th basis vector of X_*, their j-th coordinates
+    columns = lattices.transpose(rd.simple_roots)
 
     out = []
 

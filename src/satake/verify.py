@@ -123,10 +123,10 @@ def suite_specialization(sph: SphericalHecke, dmax: int) -> Result:
     R = sph.k0.R
     rd = sph.rd
     two_rho_hat = rd.two_rho_hat()
-    denom = math.prod(mat_vec(rd.positive_root_rows, two_rho_hat))
+    denom = math.prod(mat_vec(rd.positive_roots, two_rho_hat))
     for mu in rdm.dominant_reps(rd, dmax):
         shifted = vadd(vscale(2, mu), two_rho_hat)
-        dim, rem = divmod(math.prod(mat_vec(rd.positive_root_rows, shifted)), denom)
+        dim, rem = divmod(math.prod(mat_vec(rd.positive_roots, shifted)), denom)
         total = sum(R.lusztig_q_analog(mu, lam).eval_at_one() * len(orbit(rd, lam))
                     for lam in rdm.dominant_below(rd, mu))
         if rem or total != dim:

@@ -51,7 +51,7 @@ class FiniteWeylElement:
         """w lam, walking the word from the right, each letter s_i doing
         lam -> lam - <alpha_i, lam> alpha_i^."""
         for i in reversed(self.word):
-            c = sum(map(operator.mul, self.rd.simple_root_rows[i], lam))
+            c = sum(map(operator.mul, self.rd.simple_roots[i], lam))
             lam = tuple(x - c * b for x, b in zip(lam, self.rd.simple_coroots[i]))
         return tuple(lam)
 
@@ -208,7 +208,7 @@ class AffineWeylGroup:
         rd = self.rd
         u = self.W0.identity
         while bv not in rd.simple_coroots:
-            i, c = next((i, c) for i, c in enumerate(mat_vec(rd.simple_root_rows, bv)) if c > 0)
+            i, c = next((i, c) for i, c in enumerate(mat_vec(rd.simple_roots, bv)) if c > 0)
             bv = vsub(bv, lattices.vscale(c, rd.simple_coroots[i]))
             u = self.W0.mul(u, self.W0.generators[i])
         return u, rd.simple_coroots.index(bv)
@@ -324,7 +324,7 @@ class AffineWeylGroup:
         """<alpha, nu> for each positive root alpha, in the order of the
         inversion flags.  Lengths, descent tests and the move table's
         columns read their pairings from here."""
-        return [sum(map(operator.mul, row, nu)) for row in self.rd.positive_root_rows]
+        return [sum(map(operator.mul, alpha, nu)) for alpha in self.rd.positive_roots]
 
     def reduced_word(self, x: AffineWeylElement) -> tuple[AffineWeylElement, tuple[int, ...]]:
         """Right-greedy reduced word; returns (omega, word) with

@@ -332,6 +332,43 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestDescribeGoldenBytes:
+    """sha256 of describe stdout, text then --json, per group."""
+
+    @pytest.mark.parametrize("group, text_digest, json_digest", [
+        ("GL(2)", "7fd8893f90a5b4449a2ad807b817b6956beb122b3c499e115d494a8d32b5961a",
+         "805ba04ce3e97a75df7ee5b3505b3835d8206ae6729e4541b43d78ac0e6218c1"),
+        ("GL(3)", "e2ecbbba3f4a67be13399d99dd0172e367bda17927ada16d34bcb714f0c59e17",
+         "5c5d47ea26eb35a075755e08dc2ae472a270481bb66554f8740216a947abb134"),
+        ("SL(2)", "37add07b10e3a984c8fced3410e8f9101164ca51a9537197dbd0c52ff7df14e9",
+         "10fa7f2d00d4c9f8c4ccd9212002b2405a5391dab24d9164d5f5b1d0da58776f"),
+        ("SL(3)", "fb9b7d9f78cec8cd1e13721b22d3eed7eae96ea94f0000f1a5645a4e9d4c8575",
+         "9493ba5305657573646bebb23c39240baaeb62b0e745c65fd5655d64ced53c8b"),
+        ("PGL(2)", "21f48a65d97e4913a5d2c014992ba865c678b88339bae33b81b83d2785e5db3f",
+         "575995c8b4175e93bad1d847a746337f1f516fd585fa86cf4824d9083a21813a"),
+        ("PGL(3)", "33ad1fb7bd70cb0cf69ca66a026c85b3b0f9042c8bfd3b82948e2b896c0dbe36",
+         "a7ba078a3a7d7777c8fc6fa18f5f7dcc6f082feed9b90b58c2f5d766ce4681b8"),
+        ("Sp(4)", "6c34a125c063bb3f747bbfc5e27d5cc6769fcaf01543272b81de40c62c394c45",
+         "25cfff7f7d5318aa43c4f0410223ecd8cf508ee892a3d0a6857e6c68d7c70fb1"),
+        ("SO(5)", "64fbef210a727cc5ce340f45baea22144bd5df745c49a3e6a6482fb304c524e5",
+         "156c113f2ada0eb0d3fbe036d98c463cf2e26fb32468f9c66926f491d5e137fc"),
+        ("torus(1)", "51c076c9c924b4e62b97cf9db24968654dd3fa97811092da49e0ce8d64da4e9e",
+         "5d12f7e43b2f8341eda6b32a1be4051caa7b5ee495a3f47d2ffef6ae7a5909e7"),
+        ("Sp(4)*SL(2)", "948dca8ca8ea4713a97d68df2ba3a748acd8a81b92ab1d89870647e5bafdfcd5",
+         "cbacc36c70a8f700a8483db8f87ec52e47380c9232aeecae39a5b7118277cfad"),
+        ("SO(5)*PGL(3)*torus(2)",
+         "1428096d563c045eaf02889563957824b84cf1357c82197681c896c9b188f6e4",
+         "58e2aafaa2d44639c64f617eedd0e6cc6c31323a36895404ed6eed59c996f7e1"),
+        ("GL(20)", "38c48968a4e3d26695fab90a8eab5242b182cf19e67af243b06f903e3c808ec7",
+         "0b3988753e6ea10acc60a8fde7d0f5536b029c633e033409ed524593f3ba2426"),
+    ])
+    def test_describe(self, capsys, group, text_digest, json_digest):
+        for extra, digest in (((), text_digest), (("--json",), json_digest)):
+            code, out, _ = run(capsys, "describe", "--group", group, *extra)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+
+
 class TestEnvironmentOverrides:
     def test_group_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("SATAKE_GROUP", "SL(2)")

@@ -380,6 +380,26 @@ class TestDualWorkCounts:
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_basis_change_pairs_each_weight_once(self, monkeypatch, name, signed):
+        """One to_ic_basis call takes d_pairing at most once per distinct
+        weight it touches: those of f and of the ic_functions it
+        subtracts.  The caches are warmed first, so only the pivot search
+        is counted."""
+        rd = catalog(name)
+        sph = SphericalHecke(rd, signed_trace=signed)
+        fs = [sph.c_mul_iwahori(mu, lam) for mu, lam in dominant_pairs(rd, 8)]
+        expected = [sph.to_ic_basis(f) for f in fs]
+        calls, d_pairing = Counter(), rdm.d_pairing
+        monkeypatch.setattr(rdm, "d_pairing", lambda rd, v: calls.update([v]) or d_pairing(rd, v))
+        for f, x in zip(fs, expected):
+            calls.clear()
+            assert sph.to_ic_basis(f) == x
+            touched = set(f.keys()).union(*(sph.k0.ic_function(c.mu).keys() for c in x.keys()))
+            assert set(calls) <= touched and max(calls.values()) == 1, calls
+
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
     def test_warm_product_builds_no_class(self, monkeypatch, name, signed):
         """Once the factors' ic_expansions and the constituents'
         ic_functions are cached, c_mul_satake constructs no ICClass and

@@ -1,6 +1,7 @@
 """Root data: catalog construction, duality, dominance order, the length
 pairing, the fundamental group, and the modified dual group data."""
 import dataclasses
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -24,7 +25,6 @@ class TestCatalog:
         assert rd.rank == 2
         assert rd.simple_roots == ((1, -1),)
         assert rd.simple_coroots == ((1, -1),)
-        assert rd.pairing == ((1, 0), (0, 1))
 
     def test_torus(self):
         rd = catalog("torus(1)")
@@ -34,14 +34,13 @@ class TestCatalog:
 
     def test_sl3_cartan_matches_brute_force(self):
         rd = catalog("SL(3)")
-        # recompute every Cartan entry by literal double summation over the
-        # pairing matrix, without going through rd.pair
+        # recompute every Cartan entry by a literal sum over the dual bases,
+        # without going through rd.pair
         cartan = []
         for a in rd.simple_roots:
             row = []
             for bv in rd.simple_coroots:
-                row.append(sum(rd.pairing[i][j] * a[i] * bv[j]
-                               for i in range(rd.rank) for j in range(rd.rank)))
+                row.append(sum(a[i] * bv[i] for i in range(rd.rank)))
             cartan.append(tuple(row))
         assert tuple(cartan) == ((2, -1), (-1, 2))
         assert rd.cartan_matrix() == ((2, -1), (-1, 2))
@@ -72,6 +71,12 @@ class TestCatalog:
         monkeypatch.setattr(rdm, "make_root_datum", no_matrix)
         with pytest.raises(RootDatumError, match=f"above the bound {rdm.MAX_RANK}"):
             catalog(name)
+
+    @pytest.mark.parametrize("roots, coroots", [([(2,)], [(1,)]), ([(1, -1)], [(1,)]),
+                                                ([(1, -1, 0)], [(1, -1, 0)])])
+    def test_wrong_length_vectors_refused(self, roots, coroots):
+        with pytest.raises(RootDatumError, match="not the rank 2"):
+            rdm.make_root_datum("X", 2, roots, coroots)
 
     def test_validation_roots_pair_to_two(self):
         for name in CATALOG:
@@ -268,6 +273,26 @@ class TestSerialization:
 
     def test_gl2_golden_bytes(self):
         assert catalog("GL(2)").to_json() == self.GL2_GOLDEN
+
+    @pytest.mark.parametrize("name, digest", [
+        ("GL(2)", "e75856e92aad4f5dcfe588fb60169f3e16d314b369f16bcc24f33c9529daad8f"),
+        ("GL(3)", "7e9270ccdd805853544a67f8509a340924fe12cd7411a9ec11bb69c203791fd3"),
+        ("SL(2)", "c863758dd3b4aca203514787096ebf32bf3aea33755bfbffe1cc15d0355e746a"),
+        ("SL(3)", "0304b75bf2bd60fc2444efe09cc0b96962c62e2ca7539889481b643ef23cb6a1"),
+        ("PGL(2)", "fdd508e5e2a77421f4a84567c7b8b2730dc99c1b3d68c47701bfd833ffafe84b"),
+        ("PGL(3)", "58fda369ebd071040ace4a6b1088993c072648f62d706dbc966de7b20fcebd56"),
+        ("Sp(4)", "c0efaef1870b86d3452d17f9114390563e211a34ab0672fdc7dfff47fe7e8acc"),
+        ("SO(5)", "7652d605853c5708eae7f19d63a88729f2c7c719072115075ad7f78bb4505776"),
+        ("torus(1)", "361e073478f75d01b986ec5880ec3223d89cb040e1554ea7162901b395e09361"),
+        ("Sp(4)*SL(2)", "1159d1dd6d190cb87067902b9483e32eb2ce15c8948be961128f71de8242aa17"),
+        ("SO(5)*PGL(3)*torus(2)",
+         "93bf8bbf190d98c91d8203843d8f4d0daa7418a1cc8225b60ca6558f6926a53a"),
+        ("GL(20)", "7a88c3194a07362c8ff631653f57e5d39684ca3d173edff6bf57542b1ed68ba4"),
+    ])
+    def test_golden_digests(self, name, digest):
+        """sha256 of to_json(); "pairing_matrix" is always the identity,
+        as the characters are written in the dual basis."""
+        assert hashlib.sha256(catalog(name).to_json().encode()).hexdigest() == digest
 
     def test_schema_validates_catalog(self):
         import jsonschema

@@ -337,8 +337,7 @@ def from_cartan(name, cartan):
     """The simply connected root datum of a Cartan matrix, rows
     <alpha_i, alpha_j^> over j: characters in the fundamental-weight basis,
     cocharacters in the simple-coroot basis."""
-    e = lattices.identity_matrix(len(cartan))
-    return rdm.make_root_datum(name, len(cartan), e, cartan, e)
+    return rdm.make_root_datum(name, len(cartan), cartan, lattices.identity_matrix(len(cartan)))
 
 
 CARTAN_TYPES = {
