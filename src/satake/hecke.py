@@ -138,6 +138,7 @@ class SphericalHecke:
         self.g1 = g1_ring(rd)
         self.signed_trace = signed_trace
         self._c_mul_cache: dict[tuple[Vec, Vec], LinComb] = {}
+        self._c_mul_satake_cache: dict[tuple[Vec, Vec], LinComb] = {}
         self._stabiliser_cache: dict[Vec, LaurentPoly] = {}
         self._ic_expansion_cache: dict[Vec, LinComb] = {}
 
@@ -305,8 +306,24 @@ class SphericalHecke:
 
     def c_mul_satake(self, mu: Vec, lam: Vec) -> LinComb:
         """c_mu * c_lam through the dual side: change basis into K0,
-        convolve there, take the trace back, the last two in one pass."""
-        return self.k0.trace_of_convolution(self.ic_expansion(mu), self.ic_expansion(lam))
+        convolve there, take the trace back, the last two in one pass.
+
+        Computed once per unordered pair {mu, lam}, and both orders get the
+        same object.  The cache is exact because the terms of
+        ``trace_of_convolution`` in both orders are the same multiset:
+        ``tensor_decompose`` gives one result for both orders of its
+        factors, the twist of a constituent is symmetric in the two
+        classes, and p r = r p.  Both factors are checked for dominance
+        before the key is formed, so bad input raises and is never
+        cached."""
+        mu = rdm.assert_dominant(self.rd, mu)
+        lam = rdm.assert_dominant(self.rd, lam)
+        key = (mu, lam) if mu <= lam else (lam, mu)
+        cached = self._c_mul_satake_cache.get(key)
+        if cached is None:
+            cached = self.k0.trace_of_convolution(self.ic_expansion(mu), self.ic_expansion(lam))
+            self._c_mul_satake_cache[key] = cached
+        return cached
 
     # -- the transform -------------------------------------------------
 

@@ -84,9 +84,6 @@ class LinComb:
     def keys(self):
         return self._coeffs.keys()
 
-    def support(self) -> frozenset:
-        return frozenset(self._coeffs)
-
     def is_zero(self) -> bool:
         return not self._coeffs
 

@@ -34,15 +34,10 @@ class RepRing:
 
     # -- q-Kostant partition function ---------------------------------
 
-    def kostant_partition(self, v: Vec) -> LaurentPoly:
-        """Sum over multisets of positive coroots with sum v of
-        q^(multiset size); zero if v is not a nonnegative combination."""
-        coords = rdm.coroot_coords(self.rd, v)
-        if coords is None or any(c < 0 for c in coords):
-            return LaurentPoly.zero()
-        return self._kostant_graded(coords, 0)
-
     def _kostant_graded(self, coords: tuple[int, ...], i: int) -> LaurentPoly:
+        """The sum, over multisets of the positive coroots from the i-th on
+        whose sum has simple-coroot coordinates coords, of q^(multiset
+        size)."""
         if not any(coords):
             return LaurentPoly.one()
         pos_coords = self.rd.positive_coroot_coords
@@ -174,14 +169,17 @@ def _descents(rd: RootDatum, x: Vec):
             yield i, p, tuple(c - p * a for c, a in zip(x, coroot))
 
 
-def orbit(rd: RootDatum, lam: Vec) -> list[Vec]:
-    """The W_0-orbit w lam of a dominant lam, by the length of w minimal in
-    w W_lam: length k + 1 gives the s_i nu, <alpha_i, nu> > 0, of length k."""
-    level, found = {tuple(lam)}, []
+@lru_cache(maxsize=None)
+def orbit(rd: RootDatum, lam: Vec) -> tuple[Vec, ...]:
+    """The W_0-orbit w lam of a dominant lam (a tuple), by the length of w
+    minimal in w W_lam: length k + 1 gives the s_i nu, <alpha_i, nu> > 0,
+    of length k.  Walked once per (rd, lam): characters and the q = 1
+    check share the walks."""
+    level, found = {lam}, []
     while level:
         found += sorted(level)
         level = {x for nu in level for _, _, x in _descents(rd, nu)}
-    return found
+    return tuple(found)
 
 
 def _straighten(rd: RootDatum, x: Vec) -> tuple[Vec, bool] | None:

@@ -411,16 +411,24 @@ def dominant_reps(rd: RootDatum, dmax: int) -> list[Vec]:
 def dominant_below(rd: RootDatum, mu: Vec) -> list[Vec]:
     """All dominant lam <= mu in the dominance order, including mu, sorted.
 
-    Walked down from mu by subtracting positive coroots, going on from the
-    dominant results only.  Between dominant lam <= mu there is a chain of
-    dominant weights whose steps are positive roots (Stembridge, The
-    partial order of dominant weights, Adv. Math. 136 (1998), Cor. 2.7,
-    for the dual root system, whose positive roots are the positive
-    coroots), so the walk reaches exactly the dominant lam <= mu."""
-    mu = tuple(mu)
+    A fresh list over the walk of ``_dominant_below``, which runs once per
+    (rd, mu): the IC functions, stalk tables, characters and the q = 1
+    check all read the same weights."""
+    return list(_dominant_below(rd, tuple(mu)))
+
+
+@lru_cache(maxsize=None)
+def _dominant_below(rd: RootDatum, mu: Vec) -> tuple[Vec, ...]:
+    """``dominant_below``, walked down from mu by subtracting positive
+    coroots, going on from the dominant results only.  Between dominant
+    lam <= mu there is a chain of dominant weights whose steps are
+    positive roots (Stembridge, The partial order of dominant weights,
+    Adv. Math. 136 (1998), Cor. 2.7, for the dual root system, whose
+    positive roots are the positive coroots), so the walk reaches exactly
+    the dominant lam <= mu."""
     found, level = {mu}, {mu}
     while level:
         level = {lam for x in level for lam in (vsub(x, beta) for beta in rd.positive_coroots)
                  if lam not in found and is_dominant(rd, lam)}
         found |= level
-    return sorted(found)
+    return tuple(sorted(found))

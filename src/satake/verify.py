@@ -170,35 +170,55 @@ def suite_transform(sph: SphericalHecke, dmax: int, seed: int) -> Result:
     return ("satake transform bijection", True, "round trips and multiplicativity")
 
 
-def longest_key_length(rd: RootDatum, mu: Vec) -> int:
-    """Length of w0 t_mu, the longest key of the indicator 1_mu of a
-    dominant mu: d(mu) + l(w0), where l(w0) counts the positive roots."""
-    return rdm.d_pairing(rd, mu) + len(rd.positive_roots)
+# the longest word of the associativity suite, as run_all runs it
+ASSOCIATIVITY_LENGTH = 6
+
+
+def longest_key_length(rd: RootDatum, bound: int) -> int:
+    """A bound on the length of every key that the suites of ``run_all``
+    pass to ``IwahoriHecke.mul``; it is attained once the largest d(mu)
+    is at least twice ``ASSOCIATIVITY_LENGTH``.
+
+    The cross-path product c_mu * c_lam multiplies Z_mu, whose keys
+    t_mu u have length d(mu) - l(u), by T_x of length m(lam) <= d(lam)
+    (``SphericalHecke.c_mul_iwahori``); (mu, 0) is one of its pairs for
+    every representative mu, so these factors reach the largest d(mu).
+    The transform suite multiplies a subset of the same pairs.  The
+    associativity suite multiplies words of length at most
+    ``ASSOCIATIVITY_LENGTH``, and the keys of their products, its
+    intermediate factors, have at most twice that length.  The quadratic
+    suite's keys have length 1."""
+    reps = rdm.dominant_reps(rd, bound)
+    return max(2 * ASSOCIATIVITY_LENGTH, *(rdm.d_pairing(rd, mu) for mu in reps))
+
+
+def inject_stalk_fault(sph: SphericalHecke, reps: list[Vec]) -> bool:
+    """Corrupt one stalk polynomial: add q to h_{mu,lam} for the first
+    representative mu with a dominant lam < mu, the first such lam.
+    Returns whether there was a stalk to corrupt."""
+    for mu in reps:
+        lams = [lam for lam in rdm.dominant_below(sph.rd, mu) if lam != mu]
+        if lams:
+            sph.k0._stalk_perturbation = {(mu, lams[0]): LaurentPoly.q()}
+            return True
+    return False
 
 
 def run_all(rd: RootDatum, bound: int, seed: int, signed_trace: bool,
             inject_fault: bool) -> list[Result]:
-    # a bound is refused before any suite when the indicator 1_mu of some
-    # representative mu has a key longer than hecke.MAX_KEY_LENGTH
-    reps = rdm.dominant_reps(rd, bound)
-    if max((longest_key_length(rd, mu) for mu in reps), default=0) > hecke.MAX_KEY_LENGTH:
+    # a bound is refused before any suite when some key the suites would
+    # pass to the Iwahori product is longer than hecke.MAX_KEY_LENGTH
+    if longest_key_length(rd, bound) > hecke.MAX_KEY_LENGTH:
         raise KeyLengthError(hecke.MAX_KEY_LENGTH)
     sph = SphericalHecke(rd, signed_trace=signed_trace)
-    if inject_fault:
-        # negative control: corrupt one stalk polynomial and expect the
-        # cross-path oracle to notice
-        for mu in reps:
-            below = rdm.dominant_below(rd, mu)
-            lams = [l for l in below if l != mu]
-            if lams:
-                sph.k0._stalk_perturbation = {(mu, lams[0]): LaurentPoly.q()}
-                break
-        else:
-            return [("fault injection", False, "no nontrivial stalk available to corrupt")]
+    # negative control: corrupt one stalk polynomial and expect the
+    # cross-path oracle to notice
+    if inject_fault and not inject_stalk_fault(sph, rdm.dominant_reps(rd, bound)):
+        return [("fault injection", False, "no nontrivial stalk available to corrupt")]
 
     results = [
         suite_quadratic(sph),
-        suite_associativity(sph, seed, triples=50),
+        suite_associativity(sph, seed, triples=50, max_length=ASSOCIATIVITY_LENGTH),
         *suite_cross_path(sph, bound),
         suite_kernel(sph),
         suite_parity(sph, bound),

@@ -53,8 +53,9 @@ algorithm than the library uses, so agreement is meaningful:
   accumulator per key with ``LinComb.of_products``).
 
 It also holds small constructors that only the tests need (a Weyl
-dimension, a class element, a Poincare polynomial, the embedding of W_0
-into the affine group), written as functions of the library objects.
+dimension, a class element, a Poincare polynomial, the q-Kostant
+partition function at a vector, the embedding of W_0 into the affine
+group), written as functions of the library objects.
 """
 from __future__ import annotations
 
@@ -93,6 +94,16 @@ def class_element(G, mu, n: int = 0) -> LinComb:
 def poincare_polynomial(sph) -> LaurentPoly:
     """P_{W_0}(q), the sum of q^l(w) over the finite Weyl group of sph."""
     return LaurentPoly((w.length, 1) for w in sph.W.W0.elements)
+
+
+def kostant_partition(R, v) -> LaurentPoly:
+    """The q-Kostant partition function of the RepRing R at v: the sum
+    over multisets of positive coroots with sum v of q^(multiset size),
+    zero if v is not a nonnegative combination of them."""
+    coords = rdm.coroot_coords(R.rd, v)
+    if coords is None or any(c < 0 for c in coords):
+        return LaurentPoly.zero()
+    return R._kostant_graded(coords, 0)
 
 
 def from_finite(W, w) -> AffineWeylElement:
@@ -223,7 +234,7 @@ def q_analog_oracle(rd: RootDatum, mu, lam) -> LaurentPoly:
         u = vsub(w.apply_cochar(dbl_mu), dbl_lam)
         assert all(c % 2 == 0 for c in u), (mu, lam, w)
         terms += ((e, -c if w.length % 2 else c)
-                  for e, c in R.kostant_partition(tuple(c // 2 for c in u)).terms)
+                  for e, c in kostant_partition(R, tuple(c // 2 for c in u)).terms)
     return LaurentPoly(terms)
 
 

@@ -157,9 +157,9 @@ class TestInputErrors:
         ("ic-convolve", "--group", "SL(2)", "--mu", "1"),
         ("frobnicate",),
         (),
-        ("verify", "--group", "SL(2)", "--bound", "65"),
-        ("verify", "--group", "SL(2)", "--bound", "64"),
-        ("verify", "--group", "SL(2)", "--bound", "65", "--inject-fault"),
+        ("verify", "--group", "SL(2)", "--bound", "66"),
+        ("verify", "--group", "GL(2)", "--bound", "65"),
+        ("verify", "--group", "SL(2)", "--bound", "66", "--inject-fault"),
     ])
     def test_one_line_error_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -11,7 +11,7 @@ import pytest
 import satake.root_datum as rdm
 from satake import LaurentPoly, LinComb, catalog, hecke, verify, weyl
 from satake.hecke import IwahoriHecke, SphericalHecke, HeckeError
-from satake.k0 import ICClass
+from satake.k0 import ICClass, SatakeK0
 from satake.laurent import ONE
 from satake.rep_ring import G1RepClass, RepRing
 from satake.verify import dominant_pairs
@@ -336,8 +336,9 @@ class TestWorkCounts:
 class TestDualWorkCounts:
     """The cost shape of the dual path, pinned by counting calls: one K0
     expansion per factor weight, one q-analog walk per pair (mu, lam) over
-    the products, stalk tables and specialization suite of a sweep, and
-    one coroot solve per walk, made before the walk starts."""
+    the products, stalk tables and specialization suite of a sweep, one
+    coroot solve per walk, made before the walk starts, and one walk down
+    the dominance order per weight."""
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
@@ -422,10 +423,69 @@ class TestDualWorkCounts:
         assert counts["ICClass"] > 0
 
 
+    @pytest.mark.parametrize("name, dmax", [("SL(3)", 12), ("GL(3)", 8)])
+    def test_each_dominant_below_is_walked_once(self, name, dmax):
+        """The IC functions, the stalk tables, the characters and the
+        q = 1 check read dominant_below of every representative: four
+        reads of each mu, one walk."""
+        rd = catalog(name)
+        sph = SphericalHecke(rd)
+        sph.k0.R = RepRing(rd)
+        reps = rdm.dominant_reps(rd, dmax)
+        rdm._dominant_below.cache_clear()
+        for mu in reps:
+            sph.k0.ic_function(mu)
+            sph.k0.parity_report(mu)
+            sph.k0.R.character(mu)
+        assert verify.suite_specialization(sph, dmax)[1]
+        info = rdm._dominant_below.cache_info()
+        assert info.misses == len(reps) and info.hits == 3 * len(reps)
+
+
+class TestUnorderedProducts:
+    """c_mul_satake keeps one product per unordered pair {mu, lam}; its
+    premise is checked in TestTracedConvolution.  The Iwahori path, which
+    still multiplies in both orders, must still notice a corrupted
+    stalk."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_one_trace_per_unordered_pair(self, monkeypatch, name, signed):
+        calls = []
+        trace = SatakeK0.trace_of_convolution
+        monkeypatch.setattr(SatakeK0, "trace_of_convolution",
+                            lambda k0, x, y: calls.append((x, y)) or trace(k0, x, y))
+        rd = catalog(name)
+        sph = SphericalHecke(rd, signed_trace=signed)
+        pairs = list(dominant_pairs(rd, 8))
+        for mu, lam in pairs:
+            assert sph.c_mul_satake(mu, lam) == sph.c_mul_iwahori(mu, lam), (mu, lam)
+        unordered = {frozenset(pair) for pair in pairs}
+        assert len(unordered) < len(pairs)
+        assert len(calls) == len(unordered)
+
+    def test_bad_factor_is_refused_and_not_cached(self):
+        sph = SphericalHecke(catalog("SL(3)"))
+        for mu, lam in [((1, -1), (1, 0)), ((1, 0), (1, -1)), ((1,), (1, 0))]:
+            with pytest.raises(rdm.RootDatumError):
+                sph.c_mul_satake(mu, lam)
+        assert sph._c_mul_satake_cache == {}
+
+    @pytest.mark.parametrize("name, dmax", CROSS_PATH_CELLS)
+    def test_injected_fault_is_still_detected(self, name, dmax):
+        # at d <= 4, GL(5) has no stalk off the diagonal to corrupt
+        results = dict((suite, ok) for suite, ok, _ in
+                       verify.run_all(catalog(name), max(dmax, 8), 0, signed_trace=False,
+                                      inject_fault=True))
+        assert results["cross-path oracle equality"] is False
+        assert results["fault injection negative control"] is True
+
+
 class TestTracedConvolution:
     """c_mul_satake's one pass, SatakeK0.trace_of_convolution, against the
-    trace of the K0 convolution that it skips, on the factors' K0
-    expansions of every cross-path pair."""
+    trace of the K0 convolution that it skips, and against itself with
+    its factors swapped (the premise of the unordered-pair cache), on the
+    factors' K0 expansions of every cross-path pair."""
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("name, dmax", CROSS_PATH_CELLS)
@@ -434,7 +494,10 @@ class TestTracedConvolution:
         k0 = sph.k0
         for mu, lam in dominant_pairs(sph.rd, dmax):
             x, y = sph.ic_expansion(mu), sph.ic_expansion(lam)
-            assert k0.trace_of_convolution(x, y) == k0.trace_to_hecke(k0.convolve(x, y)), (mu, lam)
+            traced = k0.trace_of_convolution(x, y)
+            assert traced == k0.trace_to_hecke(k0.convolve(x, y)), (mu, lam)
+            assert traced == k0.trace_of_convolution(y, x), (mu, lam)
+            assert sph.c_mul_satake(lam, mu) is sph.c_mul_satake(mu, lam)
 
 
 class TestIndicators:
@@ -452,7 +515,7 @@ class TestIndicators:
             coset, _, maximal = spherical_double_coset(sph.W, mu)
             ind = indicator_from_iwahori(sph, mu)
             assert ind.coefficient(maximal) == ONE
-            assert ind.support() == coset
+            assert set(ind.keys()) == coset
 
     def test_poincare_polynomial(self):
         assert poincare_polynomial(SphericalHecke(catalog("GL(2)"))) == P((0, 1), (1, 1))

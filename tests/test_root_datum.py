@@ -153,6 +153,17 @@ class TestDominance:
         for lam in below:
             assert rdm.dominance_leq(rd, lam, (2, 2))
 
+    def test_dominant_below_returns_a_fresh_list(self):
+        """The walk is kept per (rd, mu); what a caller does to the list it
+        gets must not reach the next caller."""
+        rd = catalog("SL(3)")
+        first = rdm.dominant_below(rd, [2, 2])
+        expected = list(first)
+        first.append((9, 9))
+        first.reverse()
+        second = rdm.dominant_below(rd, (2, 2))
+        assert type(second) is list and second == expected and second is not first
+
 
 class TestDominantBelow:
     """dominant_below walks down from mu by positive coroots through

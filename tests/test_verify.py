@@ -9,8 +9,6 @@ from satake.hecke import KeyLengthError, SphericalHecke
 from satake.rep_ring import RepRing
 from satake.verify import longest_key_length, run_all, suite_dual_group, suite_specialization
 
-from oracles import spherical_double_coset
-
 
 class ShiftedQAnalogs(RepRing):
     """A fault in the Kostant sum that the q-analogs and the weight
@@ -46,18 +44,45 @@ def test_dual_group_catches_a_dual_name_catalog_rejects(name, monkeypatch):
     assert suite == "dual group data" and not passed
 
 
-@pytest.mark.parametrize("name", ["GL(3)", "Sp(4)", "Sp(4)*SL(2)"])
-def test_longest_key_length_is_that_of_the_maximal_element(name):
+# (group, bound): the gate of the first two is the longest cross-path
+# factor, that of the last the associativity suite's intermediate products
+EDGE_CELLS = [("Sp(4)", 14), ("GL(3)", 14), ("Sp(4)*SL(2)", 4)]
+
+
+@pytest.mark.parametrize("name, bound", EDGE_CELLS)
+def test_no_suite_is_refused_at_the_key_length_edge(monkeypatch, name, bound):
+    """With MAX_KEY_LENGTH at the gate, every suite runs and passes, and
+    the longest key passed to IwahoriHecke.mul is at most the gate, equal
+    to it when the cross-path factors set it."""
     rd = catalog(name)
-    W = SphericalHecke(rd).W
-    for mu in rdm.dominant_reps(rd, 6):
-        assert longest_key_length(rd, mu) == W.im_length(spherical_double_coset(W, mu)[2])
+    edge = longest_key_length(rd, bound)
+    monkeypatch.setattr(hecke, "MAX_KEY_LENGTH", edge)
+    seen = []
+    mul = hecke.IwahoriHecke.mul
+
+    def measured(iw, a, b):
+        seen.extend(iw.W.im_length(x) for x in (*a.keys(), *b.keys()))
+        return mul(iw, a, b)
+
+    monkeypatch.setattr(hecke.IwahoriHecke, "mul", measured)
+    results = run_all(rd, bound, 0, signed_trace=False, inject_fault=False)
+    assert all(ok for _, ok, _ in results), results
+    assert max(seen) <= edge
+    d_max = max(rdm.d_pairing(rd, mu) for mu in rdm.dominant_reps(rd, bound))
+    assert edge == max(d_max, 2 * verify.ASSOCIATIVITY_LENGTH)
+    if d_max >= edge:
+        assert max(seen) == edge
 
 
 @pytest.mark.parametrize("inject_fault", [False, True])
 def test_long_bound_is_refused_before_any_suite(monkeypatch, inject_fault):
-    monkeypatch.setattr(hecke, "MAX_KEY_LENGTH", 4)
+    """One step above the edge, run_all refuses before any suite runs."""
     monkeypatch.setattr(verify, "suite_quadratic",
                         lambda sph: pytest.fail("a suite ran before the bound was refused"))
-    with pytest.raises(KeyLengthError, match="^product too long: key length exceeds bound 4$"):
-        run_all(catalog("SL(3)"), 4, 0, signed_trace=False, inject_fault=inject_fault)
+    for name, bound in EDGE_CELLS:
+        rd = catalog(name)
+        below = longest_key_length(rd, bound) - 1
+        monkeypatch.setattr(hecke, "MAX_KEY_LENGTH", below)
+        with pytest.raises(KeyLengthError,
+                           match=f"^product too long: key length exceeds bound {below}$"):
+            run_all(rd, bound, 0, signed_trace=False, inject_fault=inject_fault)
