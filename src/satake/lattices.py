@@ -10,8 +10,7 @@ attempt at asymptotic cleverness is made.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from math import gcd
+from math import prod
 from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -139,41 +138,15 @@ def reduce_mod_lattice(v: Vec, basis: Sequence[Vec]) -> Vec:
 
 
 def lattice_quotient_invariants(columns: Sequence[Vec], rank: int) -> tuple[int, int]:
-    """(free_rank, torsion_order) of Z^rank / span_Z(columns)."""
-    cols = [c for c in columns if any(c)]
-    if not cols:
-        return rank, 1
-    # rational rank of the span
-    basis = hnf_basis(cols)
-    s = len(basis)
-    free_rank = rank - s
-    # torsion order = gcd of the s x s minors = product of invariant factors
-    rows = list(range(rank))
-    g = 0
-    for rsel in combinations(rows, s):
-        mat = [[basis[j][i] for j in range(s)] for i in rsel]
-        g = gcd(g, abs(int_det(mat)))
-    return free_rank, (g if g else 1)
+    """(free_rank, torsion_order) of Z^rank / span_Z(columns).
 
-
-def int_det(mat: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) elimination: every division
-    is exact, so all intermediate entries are integers."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            sel = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if sel is None:
-                return 0
-            a[k], a[sel] = a[sel], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
+    With B the span's HNF basis of s columns, the torsion order is the gcd
+    of B's s x s minors.  That gcd is the index in Z^s of the lattice
+    spanned by B's rows, which is the product of the pivots of their
+    Hermite form."""
+    basis = hnf_basis(columns)
+    pivots = (next(x for x in c if x) for c in hnf_basis(transpose(basis)))
+    return rank - len(basis), prod(pivots)
 
 
 def integer_solve(columns: Sequence[Vec], target: Vec) -> Optional[Vec]:

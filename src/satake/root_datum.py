@@ -4,10 +4,12 @@ A root datum stores the cocharacter lattice X_* as Z^rank in a fixed
 basis and the character lattice X^* as Z^rank in the dual basis, so the
 pairing <chi, lam> is the dot product and a root is its own functional on
 X_*.  Any based root datum has such a presentation: GL_n, SL_n, PGL_n and
-Sp_4 differ only in their simple roots and coroots, and a new family is
-its Cartan rows as simple roots with the unit vectors as coroots.  The
-Langlands dual swaps the two lists.  Everything downstream (Weyl groups,
-Hecke algebras, the dual representation ring) is driven by this data.
+Sp_4 differ only in their simple roots and coroots.  The Langlands dual
+swaps the two lists.  The catalog knows each family as one row of
+``_FAMILIES``: the n it accepts, the rank of fam(n), its simple roots and
+coroots, and its dual's name; a new family is one row.  Everything
+downstream (Weyl groups, Hecke algebras, the dual representation ring)
+is driven by this data.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import lattices
 from .lattices import Vec, mat_vec, vsub, zero_vec
@@ -159,38 +161,58 @@ def _validate(rd: RootDatum) -> None:
 # catalog
 
 
-def _cartan_A(n: int) -> list[list[int]]:
-    return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
-
-
-def _gl(n: int) -> RootDatum:
-    if n < 1:
-        raise RootDatumError("GL(n) needs n >= 1")
+def _gl_roots(n: int) -> tuple[Vec, ...]:
+    """e_i - e_(i+1) in Z^n: the simple roots of GL(n), also its coroots."""
     e = lattices.identity_matrix(n)
-    roots = [vsub(e[i], e[i + 1]) for i in range(n - 1)]
-    return make_root_datum(f"GL({n})", n, roots, roots)
+    return tuple(vsub(e[i], e[i + 1]) for i in range(n - 1))
 
 
-def _sl(n: int) -> RootDatum:
-    if n < 2:
-        raise RootDatumError("SL(n) needs n >= 2")
-    r = n - 1
-    # cocharacters in the simple-coroot basis, characters in its dual, the
-    # fundamental-weight basis: the simple roots are the Cartan rows
-    return make_root_datum(f"SL({n})", r, _cartan_A(r), lattices.identity_matrix(r))
+def _sl_roots(n: int) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """SL(n) with cocharacters in the simple-coroot basis and characters in
+    its dual, the fundamental-weight basis: the simple roots are the rows
+    of the Cartan matrix, the pairings of GL(n)'s simple roots."""
+    a = _gl_roots(n)
+    return tuple(mat_vec(a, x) for x in a), lattices.identity_matrix(n - 1)
 
 
-def _sp4() -> RootDatum:
-    # type C2 on the standard lattice Z^2: long root 2e_2, short root e_1 - e_2
-    roots = [(1, -1), (0, 2)]
-    coroots = [(1, -1), (0, 1)]
-    return make_root_datum("Sp(4)", 2, roots, coroots)
+# type C2 on the standard lattice Z^2: long root 2e_2, short root e_1 - e_2
+_SP4_ROOTS = (((1, -1), (0, 2)), ((1, -1), (0, 1)))
 
 
-def _torus(n: int) -> RootDatum:
-    if n < 1:
-        raise RootDatumError("torus(n) needs n >= 1")
-    return make_root_datum(f"torus({n})", n, [], [])
+class _Family(NamedTuple):
+    """One row of the catalog: fam(n) exists for least <= n <= most (no
+    upper end if most is None), has rank ``rank(n)``, simple roots and
+    coroots ``roots(n)``, and its Langlands dual is named ``dual(n)``.
+    The columns are functions of n run at call time, so a name is
+    refused by its rank before any vector is built."""
+
+    least: int
+    most: Optional[int]
+    rank: Callable[[int], int]
+    roots: Callable[[int], tuple]
+    dual: Callable[[int], str]
+
+    def refusal(self, fam: str) -> str:
+        if self.least == self.most:
+            return f"only {fam}({self.least}) is in the catalog"
+        return f"{fam}(n) needs n >= {self.least}"
+
+
+# a new family is one row; the adjoint rows swap the simply connected ones
+_FAMILIES = {
+    "GL": _Family(1, None, lambda n: n, lambda n: (_gl_roots(n),) * 2, lambda n: f"GL({n})"),
+    "SL": _Family(2, None, lambda n: n - 1, _sl_roots, lambda n: f"PGL({n})"),
+    "PGL": _Family(2, None, lambda n: n - 1, lambda n: _sl_roots(n)[::-1], lambda n: f"SL({n})"),
+    "Sp": _Family(4, 4, lambda n: n // 2, lambda n: _SP4_ROOTS, lambda n: f"SO({n + 1})"),
+    "SO": _Family(5, 5, lambda n: n // 2, lambda n: _SP4_ROOTS[::-1], lambda n: f"Sp({n - 1})"),
+    "torus": _Family(1, None, lambda n: n, lambda n: ((), ()), lambda n: f"torus({n})"),
+}
+# at most nine ASCII digits, so that int() never meets an over-long string
+_CATALOG_RE = re.compile(rf"^({'|'.join(_FAMILIES)})\(([0-9]{{1,9}})\)$")
+
+# a name of rank above this is refused before any matrix is built; W_0 has
+# its own bound, weyl.MAX_W0_ORDER (weyl imports this module)
+MAX_RANK = 20
 
 
 def product(a: RootDatum, b: RootDatum) -> RootDatum:
@@ -208,77 +230,47 @@ def product(a: RootDatum, b: RootDatum) -> RootDatum:
     return make_root_datum(f"{a.name}*{b.name}", ra + rb, roots, coroots)
 
 
-_DUAL_NAMES = {"GL": "GL", "SL": "PGL", "PGL": "SL", "Sp": "SO", "SO": "Sp", "torus": "torus"}
-# at most nine ASCII digits, so that int() never meets an over-long string
-_CATALOG_RE = re.compile(r"^(GL|SL|PGL|Sp|SO|torus)\(([0-9]{1,9})\)$")
-
-# a name of rank above this is refused before any matrix is built; W_0 has
-# its own bound, weyl.MAX_W0_ORDER (weyl imports this module)
-MAX_RANK = 20
-
-
-def _named_rank(name: str) -> int:
-    """The rank a catalog name describes; unknown parts count 0, Sp/SO 2."""
-    rank = 0
-    for part in name.split("*"):
-        m = _CATALOG_RE.match(part.strip())
-        if m:
-            fam, num = m.group(1), int(m.group(2))
-            rank += {"GL": num, "torus": num, "SL": num - 1, "PGL": num - 1}.get(fam, 2)
-    return rank
+def _parse(part: str) -> Optional[tuple[str, int]]:
+    """(family, n) of a one-family name such as ``SL(3)``, or None."""
+    m = _CATALOG_RE.match(part.strip())
+    return (m.group(1), int(m.group(2))) if m else None
 
 
 @lru_cache(maxsize=None)
 def catalog(name: str) -> RootDatum:
     """Look up a group by name, e.g. ``GL(2)``, ``SL(3)``, ``PGL(2)``,
-    ``Sp(4)``, ``SO(5)``, ``torus(1)``, or a product ``GL(2)*torus(1)``."""
+    ``Sp(4)``, ``SO(5)``, ``torus(1)``, or a product ``GL(2)*torus(1)``.
+
+    Everything it knows of a family is the family's row in ``_FAMILIES``:
+    a new family is one row."""
     name = name.strip()
-    rank = _named_rank(name)
+    parts = name.split("*")
+    # unknown parts count 0 here and are refused below
+    rank = sum(_FAMILIES[fam].rank(n) for fam, n in filter(None, map(_parse, parts)))
     if rank > MAX_RANK:
         raise RootDatumError(f"{name!r} has rank {rank}, above the bound {MAX_RANK}")
-    if "*" in name:
-        parts = name.split("*")
+    if len(parts) > 1:
         rd = catalog(parts[0])
         for p in parts[1:]:
             rd = product(rd, catalog(p))
         return rd
-    m = _CATALOG_RE.match(name)
-    if not m:
+    parsed = _parse(name)
+    if parsed is None:
         raise RootDatumError(f"unknown group {name!r}")
-    fam, num = m.group(1), int(m.group(2))
-    if fam == "GL":
-        return _gl(num)
-    if fam == "SL":
-        return _sl(num)
-    if fam == "PGL":
-        if num < 2:
-            raise RootDatumError("PGL(n) needs n >= 2")
-        return dual(_sl(num))
-    if fam == "Sp":
-        if num != 4:
-            raise RootDatumError("only Sp(4) is in the catalog")
-        return _sp4()
-    if fam == "SO":
-        if num != 5:
-            raise RootDatumError("only SO(5) is in the catalog")
-        return dual(_sp4())
-    if fam == "torus":
-        return _torus(num)
-    raise RootDatumError(f"unknown group {name!r}")
+    fam, n = parsed
+    row = _FAMILIES[fam]
+    if n < row.least or (row.most is not None and n > row.most):
+        raise RootDatumError(row.refusal(fam))
+    return make_root_datum(f"{fam}({n})", row.rank(n), *row.roots(n))
 
 
 def _dual_name(name: str) -> str:
-    def one(n):
-        m = _CATALOG_RE.match(n)
-        if not m:
-            return f"dual({n})"
-        fam, num = m.group(1), int(m.group(2))
-        dfam = _DUAL_NAMES[fam]
-        if fam == "Sp":
-            return f"SO({num + 1})"
-        if fam == "SO":
-            return f"Sp({num - 1})"
-        return f"{dfam}({num})"
+    def one(part):
+        parsed = _parse(part)
+        if parsed is None:
+            return f"dual({part})"
+        fam, n = parsed
+        return _FAMILIES[fam].dual(n)
     return "*".join(one(p) for p in name.split("*"))
 
 

@@ -22,30 +22,28 @@ class WeylError(RuntimeError):
     pass
 
 
-# (translation, index in FiniteWeylGroup.elements) of t_lam w
-Key = tuple[Vec, int]
-
 # |W_0| above this (the order of the Weyl group of type E_6, which builds
 # in a few seconds) is refused
 MAX_W0_ORDER = 51840
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteWeylElement:
     """An element of W_0, stored as a reduced word.
 
     ``word`` is a fixed reduced word in simple-reflection indices, found
-    by breadth-first enumeration, so it is canonical per group and alone
-    decides equality and hashing.  ``index`` is the position in
+    by breadth-first enumeration, so it is canonical per group.  Each
+    element is built once, by its ``FiniteWeylGroup``, so equality and
+    hashing are identity.  ``index`` is the position in
     ``FiniteWeylGroup.elements``, and ``inverted[j]`` is 1 if w^-1 sends
     the j-th positive root to a negative one, else 0.
     """
 
     word: tuple[int, ...]
     length: int
-    index: int = field(compare=False)
-    inverted: tuple[int, ...] = field(compare=False)
-    rd: RootDatum = field(compare=False, repr=False)
+    index: int
+    inverted: tuple[int, ...]
+    rd: RootDatum = field(repr=False)
 
     def apply_cochar(self, lam: Vec) -> Vec:
         """w lam, walking the word from the right, each letter s_i doing
@@ -217,8 +215,8 @@ class AffineWeylGroup:
         """The move table: ``table[k][i] = (j, k_s, sign, threshold, move,
         column)`` for w = W0.elements[k] and the i-th affine simple
         reflection, from the (u, m, s_theta) of each affine one, where
-        theta^ = u alpha_m^.  Every step, reduced word and Hecke product
-        reads this table.
+        theta^ = u alpha_m^.  Every word product, reduced word and Hecke
+        product reads this table.
 
         alpha_j is the positive root +-w alpha_i for a finite s_i, and
         +-w theta = +-(wu) alpha_m for s_0 = t_{theta^} s_theta; the sign
@@ -271,17 +269,6 @@ class AffineWeylGroup:
             self.W0.mul(x.finite, y.finite),
         )
 
-    def step(self, key: Key, i: int) -> tuple[Key, bool]:
-        """(key of x s_i, whether l(x s_i) > l(x)) for the i-th affine
-        simple reflection and x = t_lam w with key (lam, w.index), read
-        from the move table (``_move_table``) with no matrix product."""
-        lam, k = key
-        j, k_s, sign, threshold, move, _ = self._table[k][i]
-        up = sign * self.root_pairings(lam)[j] >= threshold
-        if move is not None:
-            lam = vadd(lam, move)
-        return (lam, k_s), up
-
     def word_to_element(self, word: Iterable[int]) -> AffineWeylElement:
         """The product of the affine simple reflections along ``word``,
         walked through the move table; no root is paired."""
@@ -332,9 +319,9 @@ class AffineWeylGroup:
         length zero and len(word) = im_length(x).
 
         Each step takes the first i with l(y s_i) < l(y) for the current
-        y (first x itself) and moves y to y s_i, as ``step`` does; the
-        letters are found from the right end of the word, and the y left
-        at length zero is omega.  The pairings <alpha, lam> of y's
+        y (first x itself) and moves y to y s_i, both read from the move
+        table; the letters are found from the right end of the word, and
+        the y left at length zero is omega.  The pairings <alpha, lam> of y's
         translation are computed once: an affine letter moves lam by
         +-alpha_j^, so they move by the stored column <alpha, alpha_j^>,
         and each descent test reads one of them from the move table."""

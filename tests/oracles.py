@@ -46,8 +46,10 @@ algorithm than the library uses, so agreement is meaningful:
   library multiplies only the left-minimal elements of the double coset,
   found in closed form);
 * lattice indices by brute-force coset enumeration, with membership
-  decided by Cramer's rule over Leibniz determinants (the library uses
-  Hermite normal forms and Bareiss elimination);
+  decided by Cramer's rule over Leibniz determinants, and the free rank
+  and torsion order of a quotient Z^r / span by determinantal divisors,
+  the gcd of the largest nonzero minors (the library reads both off
+  Hermite normal forms);
 * bilinear products from a key-level product, one polynomial product
   per term (the library adds every coefficient product into one integer
   accumulator per key with ``LinComb.of_products``).
@@ -55,13 +57,15 @@ algorithm than the library uses, so agreement is meaningful:
 It also holds small constructors that only the tests need (a Weyl
 dimension, a class element, a Poincare polynomial, the q-Kostant
 partition function at a vector, the embedding of W_0 into the affine
-group), written as functions of the library objects.
+group, one step x -> x s_i through the move table), written as functions
+of the library objects.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from satake import root_datum as rdm
@@ -390,6 +394,19 @@ def right_greedy_word(W, x, memo=None):
     return omega, word
 
 
+def step(W, key, i: int):
+    """(key of x s_i, whether l(x s_i) > l(x)) for the i-th affine simple
+    reflection and x = t_lam w with key (lam, w.index), read from the move
+    table of W with no matrix product: the one-letter step that
+    ``IwahoriHecke.mul`` and ``reduced_word`` take inline."""
+    lam, k = key
+    j, k_s, sign, threshold, move, _ = W._table[k][i]
+    up = sign * W.root_pairings(lam)[j] >= threshold
+    if move is not None:
+        lam = vadd(lam, move)
+    return (lam, k_s), up
+
+
 def stepwise_mul(iw, a, b) -> LinComb:
     """a * b in the IwahoriHecke iw, a LinComb per letter: for every key
     x = omega * s_word of b (``right_greedy_word``), map a's keys w to
@@ -555,3 +572,20 @@ def lattice_index_oracle(columns, rank: int, box: int = 4) -> int:
         if not any(in_span(vsub(v, r)) for r in reps):
             reps.append(v)
     return len(reps)
+
+
+def lattice_quotient_oracle(columns, rank: int) -> tuple[int, int]:
+    """(free rank, torsion order) of Z^rank / span_Z(columns) from the
+    determinantal divisors of the rank x n matrix A with these columns:
+    s, the rank of A, is the largest size of a nonzero minor, and the
+    torsion order is the gcd of the s x s minors, the product of A's
+    invariant factors."""
+    cols = [tuple(c) for c in columns]
+    for s in range(min(rank, len(cols)), 0, -1):
+        g = 0
+        for rows in itertools.combinations(range(rank), s):
+            for picked in itertools.combinations(cols, s):
+                g = gcd(g, leibniz_det([[c[i] for c in picked] for i in rows]))
+        if g:
+            return rank - s, g
+    return rank, 1

@@ -183,6 +183,15 @@ class TestRankBound:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"above the bound {MAX_RANK}" in err
 
+    def test_torsion_of_a_wide_product_is_quick(self, capsys):
+        """pi_1 of a rank-20 product whose coroots span a rank-10 lattice:
+        20-choose-10 minors if read as their gcd."""
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "describe", "--group", "torus(10)*SL(11)")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert "pi_1: free rank 10, torsion order 1\n" in out
+
     def test_bound_itself_is_accepted(self, capsys):
         code, out, _ = run(capsys, "describe", "--group", f"torus({MAX_RANK})")
         assert code == 0
@@ -204,11 +213,17 @@ class TestW0OrderBound:
         assert f"exceeds bound {MAX_W0_ORDER}" in err
 
 
-FAMILY_NAMES = ["GL(1)", "GL(2)", "GL(3)", "SL(2)", "SL(3)", "PGL(2)", "PGL(3)",
-                "Sp(4)", "SO(5)", "torus(1)", "torus(2)"]
+# every row of the catalog at its least n and above it, and all six rows
+# in one product
+FAMILY_NAMES = ["GL(1)", "GL(2)", "GL(3)", "GL(6)", "SL(2)", "SL(3)", "SL(7)", "PGL(2)",
+                "PGL(3)", "PGL(7)", "Sp(4)", "SO(5)", "torus(1)", "torus(2)", "torus(3)",
+                "GL(2)*SL(3)*PGL(2)*Sp(4)*SO(5)*torus(1)"]
+# each row's first refused n on either side, the rank bound's included;
 # the last name has more digits than int() converts
-OUT_OF_RANGE_NAMES = ["GL(0)", "SL(0)", "SL(1)", "PGL(1)", "Sp(2)", "Sp(6)", "SO(3)",
-                      "SO(7)", "torus(0)", "GL(9)", f"GL({MAX_RANK + 1})", "torus(100000)",
+OUT_OF_RANGE_NAMES = ["GL(0)", "SL(0)", "SL(1)", "PGL(1)", "Sp(2)", "Sp(3)", "Sp(5)", "Sp(6)",
+                      "SO(3)", "SO(4)", "SO(6)", "SO(7)", "torus(0)", "GL(9)",
+                      f"GL({MAX_RANK + 1})", f"SL({MAX_RANK + 2})", f"PGL({MAX_RANK + 2})",
+                      f"torus({MAX_RANK + 1})", "torus(100000)",
                       "E(8)", "GL(2", "gl(2)", "", f"GL({'9' * 5000})"]
 # comma strings: decreasing weights (dominant for GL), small integers, or
 # entries that may not parse

@@ -1,5 +1,5 @@
 """The integer lattice layer: the HNF solver against brute-force
-enumeration, the Bareiss determinant against the Leibniz expansion, and
+enumeration, the quotient invariants against determinantal divisors, and
 the simple (co)root coordinates stored on every root datum."""
 import itertools
 import random
@@ -8,9 +8,9 @@ import pytest
 
 import satake.root_datum as rdm
 from satake import catalog
-from satake.lattices import int_det
+from satake.lattices import lattice_quotient_invariants
 
-from oracles import leibniz_det
+from oracles import lattice_quotient_oracle
 
 GROUPS = ["GL(2)", "GL(3)", "SL(2)", "SL(3)", "PGL(2)", "PGL(3)", "Sp(4)", "SO(5)",
           "torus(1)", "Sp(4)*SL(2)"]
@@ -51,33 +51,42 @@ def test_coroot_solver_decides_dominance():
     assert rdm.dominance_leq(rd, (0,), (2,))
 
 
-def random_matrices(seed):
+def random_column_sets(seed, count):
+    """Integer column sets in Z^rank, rank <= 5, zero to rank + 1 columns;
+    one in three has a column that is a combination of two others, so
+    rank-deficient spans are met too."""
     rng = random.Random(seed)
-    for n in range(1, 5):
-        for _ in range(25):
-            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-            yield m
-            if n > 1:
-                # a singular matrix: one row a combination of two others
-                s = [row[:] for row in m]
-                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
-                s[-1] = [a * x + b * y for x, y in zip(s[0], s[n // 2])]
-                yield s
-    # zero pivots that force a row swap, and a zero column
-    yield [[0, 1], [1, 0]]
-    yield [[0, 0, 1], [0, 2, 3], [4, 5, 6]]
-    yield [[0, 1, 2], [0, 3, 4], [0, 5, 6]]
+    for _ in range(count):
+        rank = rng.randint(1, 5)
+        cols = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(rng.randint(0, rank + 1))]
+        if len(cols) >= 2 and rng.randrange(3) == 0:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            cols[-1] = tuple(a * x + b * y for x, y in zip(cols[0], cols[1]))
+        yield cols, rank
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_int_det_matches_leibniz(seed):
-    singular = 0
-    for m in random_matrices(seed):
-        expected = leibniz_det(m)
-        assert int_det(m) == expected, m
-        singular += expected == 0
-    assert singular > 0
-    assert int_det([]) == 1
+def test_quotient_invariants_match_determinantal_divisors(seed):
+    torsion = deficient = 0
+    for cols, rank in random_column_sets(seed, 400):
+        expected = lattice_quotient_oracle(cols, rank)
+        assert lattice_quotient_invariants(cols, rank) == expected, (cols, rank)
+        torsion += expected[1] > 1
+        deficient += expected[0] > max(rank - len(cols), 0)
+    assert torsion > 0 and deficient > 0
+
+
+@pytest.mark.parametrize("cols, rank, expected", [
+    ([], 3, (3, 1)),
+    ([(0, 0)], 2, (2, 1)),
+    ([(2, 0), (0, 2)], 2, (0, 4)),
+    ([(2, 4), (1, 2)], 2, (1, 1)),
+    ([(2, 0, 0), (0, 6, 0)], 3, (1, 12)),
+])
+def test_quotient_invariants_known_values(cols, rank, expected):
+    assert lattice_quotient_invariants(cols, rank) == expected
+    assert lattice_quotient_oracle(cols, rank) == expected
 
 
 @pytest.mark.parametrize("name", GROUPS)

@@ -17,6 +17,10 @@ from test_acceptance import CROSS_PATH_CELLS
 from test_weyl import CARTAN_TYPES, SYSTEM_GROUPS, from_cartan
 
 CATALOG = ["GL(2)", "GL(3)", "SL(2)", "SL(3)", "PGL(2)", "PGL(3)", "Sp(4)", "SO(5)", "torus(1)"]
+# every row of the catalog at its least n and above it, and all six rows
+# in one product
+ROW_NAMES = ["GL(1)", "GL(6)", "SL(7)", "PGL(7)", "torus(3)",
+             "GL(2)*SL(3)*PGL(2)*Sp(4)*SO(5)*torus(1)"]
 
 
 class TestCatalog:
@@ -72,6 +76,21 @@ class TestCatalog:
         with pytest.raises(RootDatumError, match=f"above the bound {rdm.MAX_RANK}"):
             catalog(name)
 
+    @pytest.mark.parametrize("fam", sorted(rdm._FAMILIES))
+    def test_row_rank_is_the_rank_built(self, fam):
+        """Each row's rank column, which the rank bound reads, against the
+        datum built for every n it accepts up to the bound, and the first
+        n past either end refused."""
+        row = rdm._FAMILIES[fam]
+        n = row.least
+        while (row.most is None or n <= row.most) and row.rank(n) <= rdm.MAX_RANK:
+            assert catalog(f"{fam}({n})").rank == row.rank(n), n
+            n += 1
+        assert n > row.least
+        for refused in (row.least - 1, n):
+            with pytest.raises(RootDatumError):
+                catalog(f"{fam}({refused})")
+
     @pytest.mark.parametrize("roots, coroots", [([(2,)], [(1,)]), ([(1, -1)], [(1,)]),
                                                 ([(1, -1, 0)], [(1, -1, 0)])])
     def test_wrong_length_vectors_refused(self, roots, coroots):
@@ -112,7 +131,7 @@ class TestDual:
             rd = catalog(name)
             assert dual(dual(rd)).cartan_matrix() == rd.cartan_matrix()
 
-    @pytest.mark.parametrize("name", CATALOG + ["Sp(4)*SL(2)", "SL(2)*PGL(2)"])
+    @pytest.mark.parametrize("name", CATALOG + ["Sp(4)*SL(2)", "SL(2)*PGL(2)"] + ROW_NAMES)
     def test_dual_name_is_accepted_back(self, name):
         rd = catalog(name)
         assert catalog(dual(rd).name) == dual(rd)

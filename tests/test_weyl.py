@@ -11,7 +11,7 @@ from satake.weyl import (AffineWeylElement, AffineWeylGroup, FiniteWeylGroup, We
                          affine_weyl_group, finite_weyl_group)
 
 from oracles import (affine_simple_refs, from_finite, omega_elements, orbit_oracle,
-                     right_greedy_word, spherical_double_coset, w0_by_matrices)
+                     right_greedy_word, spherical_double_coset, step, w0_by_matrices)
 from test_acceptance import CROSS_PATH_CELLS
 
 
@@ -189,7 +189,7 @@ class TestOneRootTests:
                 x = AffineWeylElement(lam, w)
                 lx = W.im_length(x)
                 for i, s in enumerate(W.simple_refs):
-                    _, up = W.step((lam, w.index), i)
+                    _, up = step(W, (lam, w.index), i)
                     assert up == (W.im_length(W.mul(x, s)) > lx), (x, i)
 
     @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
@@ -202,7 +202,7 @@ class TestOneRootTests:
                 x = AffineWeylElement(lam, w)
                 for i, s in enumerate(W.simple_refs):
                     xs = W.mul(x, s)
-                    (mu, k), _ = W.step((lam, w.index), i)
+                    (mu, k), _ = step(W, (lam, w.index), i)
                     assert (mu, W.W0.elements[k]) == (xs.translation, xs.finite), (x, i)
 
     @pytest.mark.parametrize("name", ONE_ROOT_GROUPS)
