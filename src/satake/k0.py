@@ -8,7 +8,7 @@ tuples (the indicator basis c_mu).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import root_datum as rdm
 from .lattices import Vec, zero_vec
@@ -22,10 +22,13 @@ class K0Error(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ICClass:
+class ICClass(NamedTuple):
     """A twisted intersection-motive class (mu, n): dominant cocharacter
-    mu with Tate twist n; pure of weight <2rho, mu> - 2n."""
+    mu with Tate twist n; pure of weight <2rho, mu> - 2n.
+
+    A class is the tuple (mu, n), so it compares equal to a
+    ``G1RepClass`` with the same fields; keys of different algebras never
+    share a ``LinComb``, so the two never meet."""
 
     mu: Vec
     n: int
@@ -159,14 +162,28 @@ class SatakeK0:
 
     def parity_report(self, mu: Vec) -> list[dict]:
         """Stalk table for all dominant lam <= mu, with the parity and
-        positivity verdicts made explicit."""
+        positivity verdicts made explicit.
+
+        Each row reads h_{mu,lam} off the cached ``ic_function(mu)``, its
+        sign undone; a lam missing there has the zero stalk.  When some
+        stalk has a negative exponent, ``ic_function`` refuses, and each
+        row derives its own stalk, so that only the offending rows are
+        INVALID."""
         mu = rdm.assert_dominant(self.rd, mu)
+        try:
+            fn, sigma = self.ic_function(mu), self.sign(mu)
+        except K0Error:
+            fn = None
         rows = []
         for lam in rdm.dominant_below(self.rd, mu):
-            try:
-                h = self.stalk_polynomial(mu, lam)
-            except K0Error:  # its only refusal: a negative exponent
-                h = None
+            if fn is not None:
+                h = fn.coefficient(lam)
+                h = h if sigma == 1 else -h
+            else:
+                try:
+                    h = self.stalk_polynomial(mu, lam)
+                except K0Error:  # its only refusal: a negative exponent
+                    h = None
             nonneg_exp = h is not None
             nonneg_coeff = nonneg_exp and h.has_nonnegative_coefficients()
             rows.append({

@@ -8,8 +8,8 @@ are the positive coroots of G.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import lattices, root_datum as rdm
 from .lattices import Vec, vadd, vsub, zero_vec
@@ -210,11 +210,14 @@ def rep_ring(rd: RootDatum) -> RepRing:
 # the representation ring of the modified dual group
 
 
-@dataclass(frozen=True)
-class G1RepClass:
+class G1RepClass(NamedTuple):
     """Basis element of the representation ring of the modified dual
     group: a dominant highest weight together with the central-torus
-    weight k, constrained to k = <2rho, mu> mod 2."""
+    weight k, constrained to k = <2rho, mu> mod 2.
+
+    A class is the tuple (mu, k), so it compares equal to an ``ICClass``
+    with the same fields; keys of different algebras never share a
+    ``LinComb``, so the two never meet."""
 
     mu: Vec
     k: int

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
@@ -27,8 +26,7 @@ class RootDatumError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     """A based root datum; immutable and hashable, safe to share.
 
     Characters are written in the basis dual to that of the cocharacters,
@@ -36,9 +34,12 @@ class RootDatum:
     functional <beta_k, -> on X_*.  ``positive_root_coords[k]`` holds the
     simple-root coordinates of ``positive_roots[k]``,
     ``positive_coroot_coords[k]`` the simple-coroot coordinates of
-    ``positive_coroots[k]`` and ``two_rho_row`` is 2rho, the sum of the
-    positive roots; all three are derived from the other fields and take
-    no part in equality or hashing.
+    ``positive_coroots[k]``, ``two_rho_row`` is 2rho, the sum of the
+    positive roots, and ``two_rho_hat_row`` is the sum of the positive
+    coroots.  These four are derived from the other fields by
+    ``make_root_datum``, so they take part in equality and hashing
+    without changing either: two data equal in their other fields are
+    equal in these too.
     """
 
     name: str
@@ -47,9 +48,10 @@ class RootDatum:
     simple_coroots: tuple[Vec, ...]   # in X_*, bijective with simple_roots
     positive_roots: tuple[Vec, ...]   # aligned with positive_coroots
     positive_coroots: tuple[Vec, ...]
-    positive_root_coords: tuple[Vec, ...] = field(compare=False)
-    positive_coroot_coords: tuple[Vec, ...] = field(compare=False)
-    two_rho_row: Vec = field(compare=False)
+    positive_root_coords: tuple[Vec, ...]
+    positive_coroot_coords: tuple[Vec, ...]
+    two_rho_row: Vec
+    two_rho_hat_row: Vec
 
     def pair(self, chi: Vec, lam: Vec) -> int:
         """The pairing <chi, lam> of a character with a cocharacter."""
@@ -65,7 +67,7 @@ class RootDatum:
 
     def two_rho_hat(self) -> Vec:
         """Sum of the positive coroots, an element of X_*."""
-        return lattices.combination((1,) * len(self.positive_coroots), self.positive_coroots, self.rank)
+        return self.two_rho_hat_row
 
     def cartan_matrix(self) -> tuple[Vec, ...]:
         """Rows <alpha_i, alpha_j^> over j, one per simple root alpha_i."""
@@ -132,9 +134,10 @@ def make_root_datum(name, rank, simple_roots, simple_coroots) -> RootDatum:
             raise RootDatumError(f"simple (co)root {v} has length {len(v)}, not the rank {rank}")
     pos_roots, pos_coroots, root_coords, coroot_coords = \
         _saturate_positives(simple_roots, simple_coroots)
+    ones = (1,) * len(pos_roots)
     rd = RootDatum(name, rank, simple_roots, simple_coroots, pos_roots, pos_coroots,
-                   root_coords, coroot_coords,
-                   lattices.combination((1,) * len(pos_roots), pos_roots, rank))
+                   root_coords, coroot_coords, lattices.combination(ones, pos_roots, rank),
+                   lattices.combination(ones, pos_coroots, rank))
     _validate(rd)
     return rd
 
@@ -336,8 +339,7 @@ def pi1_invariants(rd: RootDatum) -> tuple[int, int]:
 # the modified dual group
 
 
-@dataclass(frozen=True)
-class G1Data:
+class G1Data(NamedTuple):
     dual_datum: RootDatum
     epsilon_trivial: bool
     direct_product: bool

@@ -9,9 +9,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import lattices
 from .lattices import Vec, mat_vec, vadd, vsub, zero_vec
@@ -27,23 +26,27 @@ class WeylError(RuntimeError):
 MAX_W0_ORDER = 51840
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteWeylElement:
-    """An element of W_0, stored as a reduced word.
+    """An element of W_0, stored as a reduced word; immutable.
 
     ``word`` is a fixed reduced word in simple-reflection indices, found
     by breadth-first enumeration, so it is canonical per group.  Each
     element is built once, by its ``FiniteWeylGroup``, so equality and
     hashing are identity.  ``index`` is the position in
     ``FiniteWeylGroup.elements``, and ``inverted[j]`` is 1 if w^-1 sends
-    the j-th positive root to a negative one, else 0.
+    the j-th positive root to a negative one, else 0.  (A field named
+    ``index`` would shadow ``tuple.index``, so this is no NamedTuple.)
     """
 
-    word: tuple[int, ...]
-    length: int
-    index: int
-    inverted: tuple[int, ...]
-    rd: RootDatum = field(repr=False)
+    __slots__ = ("word", "length", "index", "inverted", "rd")
+
+    def __init__(self, word: tuple[int, ...], length: int, index: int,
+                 inverted: tuple[int, ...], rd: RootDatum):
+        for name, value in zip(self.__slots__, (word, length, index, inverted, rd)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteWeylElement is immutable")
 
     def apply_cochar(self, lam: Vec) -> Vec:
         """w lam, walking the word from the right, each letter s_i doing
@@ -148,8 +151,7 @@ class FiniteWeylGroup:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
+class AffineWeylElement(NamedTuple):
     """(translation, finite part), with group law
     (lam, w)(lam', w') = (lam + w lam', w w')."""
 

@@ -7,10 +7,11 @@ from collections import Counter
 import pytest
 
 import satake.root_datum as rdm
-from satake import LaurentPoly, LinComb, catalog, g1_class, g1_ring
+from satake import LaurentPoly, LinComb, SphericalHecke, catalog, g1_class, g1_ring
 from satake.k0 import ICClass, K0Error, SatakeK0, ic_class, purity_weight
 from satake.laurent import ONE
 from satake.rep_ring import RepRing
+from satake.verify import suite_parity
 
 from oracles import bilinear, weyl_dim
 
@@ -161,6 +162,40 @@ class TestStalkPolynomials:
         k0._stalk_perturbation = {((2,), (0,)): LaurentPoly.q(-1)}
         with pytest.raises(K0Error):
             k0.stalk_polynomial((2,), (0,))
+
+    # GL(4), SO(5) and Sp(4)*PGL(2) have weights mu of odd <2rho, mu>, where
+    # the signed trace negates the IC function
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("name", ["GL(3)", "GL(4)", "SO(5)", "Sp(4)*PGL(2)"])
+    def test_warm_parity_report_derives_no_stalk(self, monkeypatch, name, signed):
+        """Once ic_function(mu) is cached, parity_report reads its rows
+        there, with the sign undone, and they are the stalks themselves."""
+        rd = catalog(name)
+        k0 = SatakeK0(rd, signed_trace=signed)
+        reps = rdm.dominant_reps(rd, 8)
+        expected = [[str(k0.stalk_polynomial(mu, lam)) for lam in rdm.dominant_below(rd, mu)]
+                    for mu in reps]
+        for mu in reps:
+            k0.ic_function(mu)
+        calls = Counter()
+        stalk = SatakeK0.stalk_polynomial
+        monkeypatch.setattr(SatakeK0, "stalk_polynomial",
+                            lambda *a: calls.update(["stalk"]) or stalk(*a))
+        reports = [k0.parity_report(mu) for mu in reps]
+        assert calls == Counter()
+        assert [[row["poly"] for row in rows] for rows in reports] == expected
+        assert all(row["ok"] for rows in reports for row in rows)
+
+    def test_negative_exponent_makes_one_invalid_row(self):
+        """ic_function refuses a q^-1 stalk, and parity_report marks that
+        row alone INVALID, as suite_parity reports."""
+        sph = SphericalHecke(catalog("PGL(2)"))
+        sph.k0._stalk_perturbation = {((2,), (0,)): LaurentPoly.q(-1)}
+        rows = {row["lam"]: row for row in sph.k0.parity_report((2,))}
+        assert [lam for lam, row in rows.items() if row["poly"] == "INVALID"] == [(0,)]
+        assert not rows[(0,)]["ok"] and rows[(2,)]["ok"] and rows[(2,)]["poly"] == "1"
+        name, ok, detail = suite_parity(sph, 4)
+        assert not ok and "((2,), (0,))" in detail, detail
 
 
 class TestTraceMap:

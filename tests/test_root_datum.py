@@ -1,6 +1,5 @@
 """Root data: catalog construction, duality, dominance order, the length
 pairing, the fundamental group, and the modified dual group data."""
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -53,6 +52,13 @@ class TestCatalog:
         rd = catalog("Sp(4)")
         assert set(rd.positive_roots) == {(1, -1), (0, 2), (1, 1), (2, 0)}
         assert rd.two_rho() == (4, 2)
+
+    @pytest.mark.parametrize("name", CATALOG + ROW_NAMES + SYSTEM_GROUPS + sorted(CARTAN_TYPES))
+    def test_two_rho_hat_is_the_sum_of_positive_coroots(self, name):
+        rd = from_cartan(name, CARTAN_TYPES[name]) if name in CARTAN_TYPES else catalog(name)
+        total = tuple(sum(bv[j] for bv in rd.positive_coroots) for j in range(rd.rank))
+        assert rd.two_rho_hat() == total
+        assert dual(rd).two_rho() == total
 
     def test_product(self):
         rd = catalog("GL(2)*torus(1)")
@@ -210,7 +216,7 @@ class TestDominantBelow:
         above: from the highest coroot of type A2, mu - alpha_i^ is never
         dominant, so 0 is not reached."""
         rd = catalog(name)
-        mutant = dataclasses.replace(rd, positive_coroots=rd.simple_coroots)
+        mutant = rd._replace(positive_coroots=rd.simple_coroots)
         zero = (0,) * rd.rank
         assert rdm.dominant_below(rd, mu) == dominant_below_oracle(rd, mu) == [zero, mu]
         assert rdm.dominant_below(mutant, mu) == [mu]

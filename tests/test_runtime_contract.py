@@ -2,8 +2,13 @@
 standard library and its own modules, and no rational arithmetic, so
 every computation stays exact over the integers; every name a module
 imports is used there; and neither multiplication path reaches into the
-other, so the agreement of the two stays an independent check."""
+other, so the agreement of the two stays an independent check.  The
+import is cheap: no module pulls in ``dataclasses``, and with it
+``inspect``, so a CLI call does not pay for them on every start."""
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,7 +64,27 @@ def test_imports_are_stdlib_or_within_the_package(path):
             continue
         top = name.split(".")[0]
         assert top in sys.stdlib_module_names, (path.name, name)
-        assert top != "fractions", (path.name, name)
+        # dataclasses would import inspect, ast and dis on every start
+        assert top not in ("fractions", "dataclasses"), (path.name, name)
+
+
+def modules_after(code):
+    """The names in ``sys.modules`` after ``python -s -c code``, with the
+    package importable from ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(MODULES[0].parent.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-s", "-c", f"{code}\nimport sys, json\n"
+                          "print(json.dumps(sorted(sys.modules)))"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return set(json.loads(out))
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """What ``import satake`` adds to a bare interpreter's modules; those
+    that the site or the listing itself imports do not count."""
+    added = modules_after("import satake") - modules_after("pass")
+    assert "satake.k0" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added & {"dataclasses", "inspect"})
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
