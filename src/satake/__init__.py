@@ -5,7 +5,7 @@ and the transform onto the twisted representation ring."""
 from .laurent import LaurentPoly
 from .linear import LinComb
 from .root_datum import (RootDatum, RootDatumError, catalog, dual,
-                         dominance_leq, d_pairing, parity, g1_data,
+                         dominance_leq, d_pairing, parity, epsilon_trivial,
                          g1_description, pi1_label, pi1_invariants)
 from .weyl import (AffineWeylElement, AffineWeylGroup, FiniteWeylElement,
                    FiniteWeylGroup, affine_weyl_group, finite_weyl_group)
@@ -16,7 +16,7 @@ from .hecke import IwahoriHecke, SphericalHecke, iwahori_hecke, spherical_hecke
 __all__ = [
     "LaurentPoly", "LinComb",
     "RootDatum", "RootDatumError", "catalog", "dual", "dominance_leq",
-    "d_pairing", "parity", "g1_data", "g1_description", "pi1_label",
+    "d_pairing", "parity", "epsilon_trivial", "g1_description", "pi1_label",
     "pi1_invariants",
     "AffineWeylElement", "AffineWeylGroup", "FiniteWeylElement",
     "FiniteWeylGroup", "affine_weyl_group", "finite_weyl_group",

@@ -75,7 +75,7 @@ def _terms_json(basis: str, x: LinComb, key_json, order) -> dict:
 
 def cmd_describe(args) -> int:
     rd = catalog(args.group)
-    data = rdm.g1_data(rd)
+    trivial = rdm.epsilon_trivial(rd)
     free, torsion = rdm.pi1_invariants(rd)
     doc = {
         "group": rd.name,
@@ -85,9 +85,9 @@ def cmd_describe(args) -> int:
         "positive_roots": [list(r) for r in rd.positive_roots],
         "two_rho": list(rd.two_rho()),
         "pi1": {"free_rank": free, "torsion_order": torsion},
-        "dual_group": data.dual_datum.name,
-        "epsilon_trivial": data.epsilon_trivial,
-        "direct_product": data.direct_product,
+        "dual_group": rdm.dual(rd).name,
+        "epsilon_trivial": trivial,
+        "direct_product": trivial,
         "modified_dual_group": rdm.g1_description(rd),
     }
     if args.json:
@@ -99,8 +99,8 @@ def cmd_describe(args) -> int:
         print(f"2rho: {doc['two_rho']}")
         print(f"pi_1: free rank {free}, torsion order {torsion}")
         print(f"dual group: {doc['dual_group']}")
-        print(f"epsilon: {'trivial' if data.epsilon_trivial else 'nontrivial'}"
-              + ("; modified dual group is a direct product" if data.direct_product else ""))
+        print(f"epsilon: {'trivial' if trivial else 'nontrivial'}"
+              + ("; modified dual group is a direct product" if trivial else ""))
         print(f"modified dual group: {doc['modified_dual_group']}")
     return 0
 

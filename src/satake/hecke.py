@@ -136,7 +136,6 @@ class SphericalHecke:
         self.iwahori = IwahoriHecke(rd)
         self.k0 = SatakeK0(rd, signed_trace=signed_trace)
         self.g1 = g1_ring(rd)
-        self.signed_trace = signed_trace
         self._c_mul_cache: dict[tuple[Vec, Vec], LinComb] = {}
         self._c_mul_satake_cache: dict[tuple[Vec, Vec], LinComb] = {}
         self._stabiliser_cache: dict[Vec, LaurentPoly] = {}

@@ -339,22 +339,17 @@ def pi1_invariants(rd: RootDatum) -> tuple[int, int]:
 # the modified dual group
 
 
-class G1Data(NamedTuple):
-    dual_datum: RootDatum
-    epsilon_trivial: bool
-    direct_product: bool
-
-
-def g1_data(rd: RootDatum) -> G1Data:
-    # epsilon(e_j) = (-1)^<2rho, e_j> on the basis vectors e_j
-    trivial = all(c % 2 == 0 for c in rd.two_rho_row)
-    return G1Data(dual_datum=dual(rd), epsilon_trivial=trivial, direct_product=trivial)
+def epsilon_trivial(rd: RootDatum) -> bool:
+    """Whether epsilon = 2rho(-1) is trivial, i.e. (-1)^<2rho, e_j> = 1 on
+    the basis vectors e_j; then the modified dual group is the direct
+    product of the dual group and GL(1)."""
+    return all(c % 2 == 0 for c in rd.two_rho_row)
 
 
 def g1_description(rd: RootDatum) -> str:
     """Human-readable structure of the modified dual group; builds no dual."""
     dname = _dual_name(rd.name)
-    if all(c % 2 == 0 for c in rd.two_rho_row):
+    if epsilon_trivial(rd):
         return f"{dname} x GL(1) (direct product)"
     if dname == "SL(2)":
         # (SL(2) x GL(1)) / mu_2 glued along the center is GL(2)

@@ -65,18 +65,22 @@ class FiniteWeylGroup:
 
     Breadth-first search from the identity, multiplying by simple
     reflections on the right, meets the elements in (length, word) order,
-    so ``elements`` is sorted that way.  Products and inverses walk the
-    canonical words through the table ``right[k][i]`` = index of
-    ``elements[k]`` times s_i.
+    so ``elements`` is sorted that way.  Each element has one row list,
+    ``rows[k]``, whose i-th entry for a finite s_i is the move-table entry
+    ``(j, k_s, sign, threshold, None, None)`` of ``AffineWeylGroup``
+    (which appends the affine entries to the same lists); products and
+    inverses walk the canonical words through its column ``k_s``, the
+    index of ``elements[k]`` times s_i.
 
     The search forms no matrix.  It carries the images w alpha_j^ of the
     simple coroots, which move along an edge as (w s_i) alpha_j^ =
     w alpha_j^ - <alpha_i, alpha_j^> w alpha_i^, and keys each element by
     its inversion flags, which determine it: ``by_inverted``.  Since s_i
     permutes the positive roots other than alpha_i, the flags of w and
-    w s_i differ at exactly one positive root, the one whose coroot is
-    +-w alpha_i^; a dict of signed positive coroots gives its index,
-    ``flip[k][i]``, and toggling that flag gives the key of w s_i.
+    w s_i differ at exactly one positive root alpha_j, the one whose
+    coroot is +-w alpha_i^; a dict of signed positive coroots gives j,
+    and toggling that flag gives the key of w s_i.  An element's images
+    are dropped once its row is written.
 
     |W_0| is known before the search: the exponents of W_0 are the parts
     of the partition dual to the numbers r_k of positive roots of height
@@ -95,10 +99,10 @@ class FiniteWeylGroup:
         signed = {tuple(s * c for c in bv): j
                   for j, bv in enumerate(rd.positive_coroots) for s in (1, -1)}
         self.elements: list[FiniteWeylElement] = []
-        self._right: list[list[int]] = []
-        self.flip: list[list[int]] = []
+        self.rows: list[list[tuple]] = []
         self.by_inverted: dict[tuple[int, ...], FiniteWeylElement] = {}
-        images: list[tuple[Vec, ...]] = []  # images[k][j] = elements[k] alpha_j^
+        # images[k][j] = elements[k] alpha_j^, None once rows[k] is written
+        images: list[tuple[Vec, ...] | None] = []
 
         def add(word: tuple[int, ...], inverted: tuple[int, ...], image: tuple[Vec, ...]) -> None:
             if len(word) != sum(inverted):
@@ -109,27 +113,31 @@ class FiniteWeylGroup:
             images.append(image)
 
         add((), (0,) * len(rd.positive_coroots), rd.simple_coroots)
-        # elements[len(self._right):] is the frontier of the search
-        while len(self._right) < len(self.elements):
-            k = len(self._right)
+        # elements[len(self.rows):] is the frontier of the search
+        while len(self.rows) < len(self.elements):
+            k = len(self.rows)
             w, image = self.elements[k], images[k]
-            self.flip.append([signed[wi] for wi in image])
+            images[k] = None
             row = []
-            for i, j in enumerate(self.flip[k]):
+            for i, wi in enumerate(image):
+                j = signed[wi]
                 flags = w.inverted[:j] + (1 - w.inverted[j],) + w.inverted[j + 1:]
                 if flags not in self.by_inverted:
-                    add(w.word + (i,), flags, tuple(tuple(x - c * y for x, y in zip(wj, image[i]))
+                    add(w.word + (i,), flags, tuple(tuple(x - c * y for x, y in zip(wj, wi))
                                                     for wj, c in zip(image, cartan[i])))
-                row.append(self.by_inverted[flags].index)
-            self._right.append(row)
+                # the length goes up iff sign * <alpha_j, lam> >= threshold
+                # (``AffineWeylGroup._move_table``)
+                sign, threshold = (1, 1) if w.inverted[j] else (-1, 0)
+                row.append((j, self.by_inverted[flags].index, sign, threshold, None, None))
+            self.rows.append(row)
         if len(self.elements) != order:
             raise WeylError(f"BFS found {len(self.elements)} elements, not |W_0| = {order}")
         self.identity = self.elements[0]
-        self.generators = [self.elements[k] for k in self._right[0]]
+        self.generators = [self.elements[entry[1]] for entry in self.rows[0]]
 
     def _walk(self, k: int, word: Iterable[int]) -> FiniteWeylElement:
         for i in word:
-            k = self._right[k][i]
+            k = self.rows[k][i][1]
         return self.elements[k]
 
     def mul(self, a: FiniteWeylElement, b: FiniteWeylElement) -> FiniteWeylElement:
@@ -216,9 +224,11 @@ class AffineWeylGroup:
     def _move_table(self, affine) -> list[list[tuple]]:
         """The move table: ``table[k][i] = (j, k_s, sign, threshold, move,
         column)`` for w = W0.elements[k] and the i-th affine simple
-        reflection, from the (u, m, s_theta) of each affine one, where
-        theta^ = u alpha_m^.  Every word product, reduced word and Hecke
-        product reads this table.
+        reflection.  The finite entries are those of ``W0.rows``; the
+        affine ones are appended to the same lists, from the (u, m,
+        s_theta) of each affine reflection, where theta^ = u alpha_m^, so
+        the table is ``W0.rows``.  Every word product, reduced word and
+        Hecke product reads this table.
 
         alpha_j is the positive root +-w alpha_i for a finite s_i, and
         +-w theta = +-(wu) alpha_m for s_0 = t_{theta^} s_theta; the sign
@@ -245,20 +255,13 @@ class AffineWeylGroup:
         # signed[f][j] = (move, column) of alpha_j with flag f
         plus = [(bv, tuple(self.root_pairings(bv))) for bv in rd.positive_coroots]
         signed = (plus, [(tuple(-c for c in bv), tuple(-c for c in col)) for bv, col in plus])
-        table = []
-        for w in W0.elements:
-            flags = w.inverted
-            row = []
-            for j, k_s in zip(W0.flip[w.index], W0._right[w.index]):
-                sign, threshold = (1, 1) if flags[j] else (-1, 0)
-                row.append((j, k_s, sign, threshold, None, None))
+        for w, row in zip(W0.elements, W0.rows):
             for u, m, s_theta in affine:
-                j = W0.flip[W0.mul(w, u).index][m]
-                f = flags[j]
+                j = W0.rows[W0.mul(w, u).index][m][0]
+                f = w.inverted[j]
                 sign, threshold = (-1, -1) if f else (1, 0)
                 row.append((j, W0.mul(w, s_theta).index, sign, threshold) + signed[f][j])
-            table.append(row)
-        return table
+        return W0.rows
 
     # -- group operations ---------------------------------------------
 
@@ -364,6 +367,5 @@ def affine_weyl_group(rd: RootDatum) -> AffineWeylGroup:
     return AffineWeylGroup(rd)
 
 
-@lru_cache(maxsize=None)
 def finite_weyl_group(rd: RootDatum) -> FiniteWeylGroup:
     return affine_weyl_group(rd).W0

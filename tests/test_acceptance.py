@@ -1,4 +1,4 @@
-"""Acceptance gate: the eleven exact identities that pin down the whole
+"""Acceptance gate: the twelve exact identities that pin down the whole
 artifact, one test per criterion, each printing a single pass/fail line.
 
 All comparisons are exact (integer / Laurent-polynomial equality); there
@@ -18,6 +18,7 @@ from satake.laurent import ONE
 from satake.rep_ring import G1RepClass
 from satake.verify import dominant_pairs
 
+import macdonald
 from oracles import FreudenthalOracle, bilinear
 
 # (group, bound on d) cells of the cross-path sweep
@@ -173,13 +174,13 @@ def test_criterion_08_stalk_parity_positivity(capsys):
 def test_criterion_09_dual_group_table(capsys):
     assert rdm.dual(catalog("PGL(2)")).name == "SL(2)"
     assert rdm.g1_description(catalog("PGL(2)")) == "GL(2)"
-    data = rdm.g1_data(catalog("SL(2)"))
-    assert data.epsilon_trivial and data.direct_product
+    assert rdm.epsilon_trivial(catalog("SL(2)"))
+    assert "direct product" in rdm.g1_description(catalog("SL(2)"))
     for n in range(1, 6):
         two_rho = tuple(n - 1 - 2 * i for i in range(n))  # closed-form oracle
         assert catalog(f"GL({n})").two_rho() == two_rho
         trivial = all(x % 2 == 0 for x in two_rho)
-        assert rdm.g1_data(catalog(f"GL({n})")).epsilon_trivial == trivial == (n % 2 == 1)
+        assert rdm.epsilon_trivial(catalog(f"GL({n})")) == trivial == (n % 2 == 1)
     report(capsys, 9, True,
            "dual(PGL(2)) = SL(2) with modified dual group GL(2); SL(2) is a "
            "direct product; GL(n) epsilon-trivial iff n odd for n <= 5")
@@ -213,3 +214,19 @@ def test_criterion_11_purity_weight_additivity(capsys):
     report(capsys, 11, total > 0,
            f"purity weights add on all {total} support classes of the "
            f"criterion-3 convolution sweep, zero violations")
+
+
+def test_criterion_12_macdonald_formula(capsys):
+    checked = 0
+    for name, dmax in CROSS_PATH_CELLS:
+        rd = catalog(name)
+        for signed in (False, True):
+            sph = SphericalHecke(rd, signed_trace=signed)
+            for lam in rdm.dominant_reps(rd, dmax):
+                t = sph.satake_transform(sph.c(lam))
+                assert macdonald.holds(rd, lam, [(cls.mu, cls.k, p) for cls, p in t.items()],
+                                       signed), (name, signed, lam)
+                checked += 1
+    report(capsys, 12, checked > 0,
+           f"satake_transform(c_lam) satisfies Macdonald's formula for {checked} dominant "
+           f"lam of the criterion-3 cells, unsigned and signed")

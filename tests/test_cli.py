@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satake.cli import main
-from satake.root_datum import MAX_RANK
+from satake.root_datum import MAX_RANK, catalog, dual
 from satake.weyl import MAX_W0_ORDER
 
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -382,6 +382,18 @@ class TestDescribeGoldenBytes:
             code, out, _ = run(capsys, "describe", "--group", group, *extra)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+
+
+@pytest.mark.parametrize("group", FAMILY_NAMES + ["Sp(4)*SL(2)", "SL(3)*GL(2)*SL(2)",
+                                   "SO(5)*PGL(3)*torus(2)"])
+def test_describe_json_reads_one_epsilon_and_the_dual_name(capsys, group):
+    """The two epsilon keys are one fact, and the dual group is named as
+    the dual root datum names itself."""
+    code, out, _ = run(capsys, "describe", "--group", group, "--json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["epsilon_trivial"] == doc["direct_product"]
+    assert doc["dual_group"] == dual(catalog(group)).name
 
 
 class TestEnvironmentOverrides:

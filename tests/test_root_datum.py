@@ -254,24 +254,22 @@ class TestModifiedDualGroup:
             assert rd.two_rho() == two_rho
             trivial = all((-1) ** two_rho[i] == 1 for i in range(n))
             assert trivial == (n % 2 == 1)
-            assert rdm.g1_data(rd).epsilon_trivial == trivial
+            assert rdm.epsilon_trivial(rd) == trivial
 
     def test_pgl2_reports_gl2(self):
         rd = catalog("PGL(2)")
-        data = rdm.g1_data(rd)
-        assert not data.epsilon_trivial
+        assert not rdm.epsilon_trivial(rd)
         assert rdm.g1_description(rd) == "GL(2)"
 
     def test_sl2_reports_direct_product(self):
         rd = catalog("SL(2)")
-        data = rdm.g1_data(rd)
-        assert data.epsilon_trivial and data.direct_product
+        assert rdm.epsilon_trivial(rd)
         assert "direct product" in rdm.g1_description(rd)
 
     def test_epsilon_trivial_iff_direct_product(self):
         for name in CATALOG:
-            data = rdm.g1_data(catalog(name))
-            assert data.epsilon_trivial == data.direct_product
+            rd = catalog(name)
+            assert rdm.epsilon_trivial(rd) == ("direct product" in rdm.g1_description(rd))
 
 
 class TestEnumeration:

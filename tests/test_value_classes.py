@@ -1,4 +1,4 @@
-"""The value classes: ``RootDatum``, ``G1Data``, ``FiniteWeylElement``,
+"""The value classes: ``RootDatum``, ``FiniteWeylElement``,
 ``AffineWeylElement``, ``G1RepClass`` and ``ICClass``.  Each refuses
 attribute assignment.  A ``FiniteWeylElement`` is equal only to itself;
 the others are tuples, equal with equal hashes exactly when their fields
@@ -18,7 +18,6 @@ def instances():
     W = affine_weyl_group(rd)
     return {
         "RootDatum": rd,
-        "G1Data": rdm.g1_data(rd),
         "FiniteWeylElement": W.W0.elements[1],
         "AffineWeylElement": AffineWeylElement((1, 0), W.W0.elements[1]),
         "G1RepClass": G1RepClass((1, 0), 1),
@@ -48,7 +47,7 @@ def test_finite_elements_compare_by_identity():
     assert len(set(a.elements) | set(b.elements)) == 2 * len(a)
 
 
-@pytest.mark.parametrize("cls", ["AffineWeylElement", "G1RepClass", "ICClass", "RootDatum", "G1Data"])
+@pytest.mark.parametrize("cls", ["AffineWeylElement", "G1RepClass", "ICClass", "RootDatum"])
 def test_equal_exactly_when_the_fields_are(cls):
     value = instances()[cls]
     copy = type(value)(*value)
@@ -69,8 +68,8 @@ def test_catalog_data_are_equal_with_equal_hashes(name):
     built = rdm.catalog.__wrapped__(name)  # past catalog's cache
     rd = catalog(name)
     assert built is not rd and built == rd and hash(built) == hash(rd)
-    assert rdm.g1_data(built) == rdm.g1_data(rd)
-    assert hash(rdm.g1_data(built)) == hash(rdm.g1_data(rd))
+    assert rdm.epsilon_trivial(built) == rdm.epsilon_trivial(rd)
+    assert dual(built) == dual(rd) and hash(dual(built)) == hash(dual(rd))
     assert dual(dual(rd)) == rd and hash(dual(dual(rd))) == hash(rd)
 
 
@@ -78,7 +77,6 @@ def test_reprs_are_unchanged():
     reprs = {cls: repr(value) for cls, value in instances().items()}
     assert reprs == {
         "RootDatum": "RootDatum(GL(2))",
-        "G1Data": "G1Data(dual_datum=RootDatum(GL(2)), epsilon_trivial=False, direct_product=False)",
         "FiniteWeylElement": "w[0]",
         "AffineWeylElement": "t[1, 0]*w[0]",
         "G1RepClass": "V[1,0;1]",

@@ -88,6 +88,11 @@ class TestFiniteWeylGroup:
         assert finite_weyl_group(catalog("Sp(4)")).longest().length == 4
 
 
+SYSTEM_GROUPS = ["Sp(4)*SL(2)", "SL(2)*Sp(4)", "SL(3)*GL(2)*SL(2)", "SO(5)*PGL(3)*torus(2)"]
+# every catalog family that has roots, and products of them
+WORD_GROUPS = sorted({*(n for n, _ in CROSS_PATH_CELLS), "SO(5)", *SYSTEM_GROUPS})
+
+
 class TestLength:
     @pytest.mark.parametrize("name", ["PGL(2)", "GL(2)", "SL(3)", "Sp(4)"])
     def test_identity_and_simples(self, name):
@@ -102,6 +107,16 @@ class TestLength:
         W = affine_weyl_group(rd)
         for mu in rdm.dominant_reps(rd, 10):
             assert W.im_length(W.translation(mu)) == rdm.d_pairing(rd, mu)
+
+    @pytest.mark.parametrize("name", WORD_GROUPS)
+    def test_a_word_is_at_least_as_long_as_its_product(self, name):
+        """l(s_i1 ... s_ik) <= k, which lets ``verify`` take every random
+        word of at most ``max_length`` letters as it is drawn."""
+        W = affine_weyl_group(catalog(name))
+        rng = random.Random(11)
+        for _ in range(200):
+            word = [rng.randrange(len(W.simple_refs)) for _ in range(rng.randrange(13))]
+            assert W.im_length(W.word_to_element(word)) <= len(word), word
 
     @pytest.mark.parametrize("name", ["PGL(2)", "SL(3)", "Sp(4)"])
     def test_subadditive_and_inverse_invariant(self, name):
@@ -224,7 +239,7 @@ class TestOneRootTests:
             for i, g in enumerate(W0.generators):
                 ws = W0.mul(w, g)
                 changed = [j for j, (a, b) in enumerate(zip(w.inverted, ws.inverted)) if a != b]
-                assert changed == [W0.flip[w.index][i]]
+                assert changed == [W0.rows[w.index][i][0]]
 
     @pytest.mark.parametrize("name", ONE_ROOT_GROUPS + ["torus(1)"])
     def test_min_coset_length_is_the_minimum_over_w0(self, name):
@@ -350,8 +365,6 @@ CARTAN_TYPES = {
 }
 W0_ORDERS = {"G2": 12, "B3": 48, "D4": 192, "F4": 1152, "A2+A1": 12}
 
-SYSTEM_GROUPS = ["Sp(4)*SL(2)", "SL(2)*Sp(4)", "SL(3)*GL(2)*SL(2)", "SO(5)*PGL(3)*torus(2)"]
-
 
 class TestAffineSimpleSystem:
     """The affine simple reflections, read off the root datum, against the
@@ -382,11 +395,39 @@ class TestAgainstMatrixEnumeration:
         W, ref = FiniteWeylGroup(rd), w0_by_matrices(rd)
         assert [w.word for w in W.elements] == ref.words
         assert [w.inverted for w in W.elements] == ref.inverted
-        assert W._right == ref.right
-        assert W.flip == ref.flip
+        finite = [row[:len(rd.simple_roots)] for row in W.rows]
+        assert [[entry[1] for entry in row] for row in finite] == ref.right
+        assert [[entry[0] for entry in row] for row in finite] == ref.flip
         vectors = list(lattices.identity_matrix(rd.rank)) + [(2, 3, 5, 7, 11, 13, 17, 19)[:rd.rank]]
         for w, act in zip(W.elements, ref.acts):
             assert [w.apply_cochar(v) for v in vectors] == [lattices.mat_vec(act, v) for v in vectors]
+
+
+class TestOneTable:
+    """W_0 and the affine move table share one row list per element, and
+    each finite entry's sign and threshold are those of the flag rule:
+    the length of t_lam w s_i goes up iff <alpha_j, lam> >= 1 when w
+    inverts alpha_j, and iff <alpha_j, lam> <= 0 when it does not; the
+    rule is checked against the length itself at lam = 0 and +-e_0."""
+
+    @pytest.mark.parametrize("name", WORD_GROUPS + sorted(CARTAN_TYPES))
+    def test_rows_are_the_move_table(self, name):
+        rd = from_cartan(name, CARTAN_TYPES[name]) if name in CARTAN_TYPES else catalog(name)
+        W = AffineWeylGroup(rd)
+        W0 = W.W0
+        e0 = lattices.identity_matrix(rd.rank)[0]
+        vectors = [(0,) * rd.rank, e0, tuple(-c for c in e0)]
+        pairings = [W.root_pairings(lam) for lam in vectors]
+        assert len(W._table) == len(W0)
+        for k, w in enumerate(W0.elements):
+            assert W._table[k] is W0.rows[k] and len(W0.rows[k]) == len(W.simple_refs)
+            for i, (j, _, sign, threshold, move, column) in enumerate(W0.rows[k][:len(rd.simple_roots)]):
+                assert (sign, threshold, move, column) == \
+                    ((1, 1, None, None) if w.inverted[j] else (-1, 0, None, None))
+                for lam, p in zip(vectors, pairings):
+                    x = AffineWeylElement(lam, w)
+                    up = W.im_length(W.mul(x, W.simple_refs[i])) > W.im_length(x)
+                    assert up == (sign * p[j] >= threshold), (x, i)
 
 
 class TestW0Bound:
