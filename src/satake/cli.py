@@ -1,29 +1,24 @@
 """Command-line interface: reproducible table/JSON emitters for every
 computation, plus the self-verification suites.
 
-Flags mirror environment variables with the ``SATAKE_`` prefix, so golden
-file testing can be driven either way.
+Output is a function of the command line alone: no environment variable
+is read, and each command takes only the flags it reads.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import root_datum as rdm
-from .hecke import KeyLengthError, SphericalHecke
+from .hecke import IwahoriHecke, KeyLengthError, SphericalHecke
 from .k0 import ICClass, purity_weight
 from .lattices import Vec
 from .linear import LinComb
 from .rep_ring import G1RepClass
 from .root_datum import RootDatumError, catalog
 from .verify import run_all
-from .weyl import WeylError, render_affine
-
-
-def _env(name: str, default):
-    return os.environ.get(f"SATAKE_{name}", default)
+from .weyl import render_affine
 
 
 class UsageError(ValueError):
@@ -32,18 +27,15 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise ``UsageError`` in place of
-    printing a usage block and exiting; subparsers inherit the class."""
+    printing a usage block and exiting, and which expands no prefix of a
+    flag, so each command accepts its own flags and no others; subparsers
+    inherit the class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise UsageError(f"{self.prog}: {message}")
-
-
-def _env_int(name: str, default: int) -> int:
-    text = _env(name, str(default))
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"SATAKE_{name} must be an integer, got {text!r}") from None
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -107,17 +99,16 @@ def cmd_describe(args) -> int:
 
 def cmd_hecke_mul(args) -> int:
     rd = catalog(args.group)
-    sph = SphericalHecke(rd, signed_trace=args.signed_trace)
-    iw = sph.iwahori
+    iw = IwahoriHecke(rd)
     factors = []
-    n_simple = len(sph.W.simple_refs)
+    n_simple = len(iw.W.simple_refs)
     for w in args.words:
         word = () if w in ("e", "") else _parse_ints(w, "words")
         if word and not n_simple:
             raise UsageError(f"{rd.name} has no affine simple reflections; the only word is 'e'")
         if any(not 0 <= i < n_simple for i in word):
             raise UsageError(f"word {w!r} has an index outside 0..{n_simple - 1}")
-        factors.append(sph.W.word_to_element(word))
+        factors.append(iw.W.word_to_element(word))
     prod = iw.unit()
     for x in factors:
         prod = iw.mul(prod, iw.basis(x))
@@ -134,7 +125,7 @@ def cmd_hecke_mul(args) -> int:
 
 def cmd_ic_convolve(args) -> int:
     rd = catalog(args.group)
-    sph = SphericalHecke(rd, signed_trace=args.signed_trace)
+    sph = SphericalHecke(rd)
     a = ICClass(rdm.assert_dominant(rd, _parse_ints(args.mu, "--mu")), args.n)
     b = ICClass(rdm.assert_dominant(rd, _parse_ints(args.lam, "--lam")), args.m)
     conv = sph.k0.convolve_ic(a, b)
@@ -197,16 +188,14 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--group", default=_env("GROUP", "PGL(2)"),
+    common.add_argument("--group", default="PGL(2)",
                         help="catalog group, e.g. GL(2), SL(3), PGL(2), Sp(4), SO(5), torus(1)")
-    common.add_argument("--bound", type=int, default=_env_int("BOUND", 6),
+    common.add_argument("--json", action="store_true")
+    tables = _Parser(add_help=False)
+    tables.add_argument("--bound", type=int, default=6,
                         help="max <2rho, mu> for tables and sweeps")
-    common.add_argument("--signed-trace", action="store_true",
-                        default=_env("SIGNED_TRACE", "") not in ("", "0"),
+    tables.add_argument("--signed-trace", action="store_true",
                         help="use the alternating sign convention for trace functions")
-    common.add_argument("--json", action="store_true",
-                        default=_env("JSON", "") not in ("", "0"))
-    common.add_argument("--seed", type=int, default=_env_int("SEED", 0))
 
     parser = _Parser(prog="satake")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -225,11 +214,12 @@ def build_parser() -> _Parser:
     p.add_argument("--lam", required=True)
     p.add_argument("--m", type=int, default=0)
 
-    sub.add_parser("satake-table", parents=[common],
+    sub.add_parser("satake-table", parents=[common, tables],
                    help="trace functions in the c-basis with their transform images")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, tables],
                        help="run all self-verification suites; nonzero exit on failure")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", action="store_true",
                    help="negative control: corrupt a stalk polynomial and expect detection")
 
@@ -239,7 +229,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.bound < 0:
+        if getattr(args, "bound", 0) < 0:
             raise UsageError("bound must be >= 0")
         handler = {
             "describe": cmd_describe,
@@ -249,7 +239,7 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
         }[args.command]
         return handler(args)
-    except (RootDatumError, UsageError, KeyLengthError, WeylError) as exc:
+    except (RootDatumError, UsageError, KeyLengthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

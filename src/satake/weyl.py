@@ -14,11 +14,11 @@ from typing import Iterable, NamedTuple
 
 from . import lattices
 from .lattices import Vec, mat_vec, vadd, vsub, zero_vec
-from .root_datum import RootDatum
+from .root_datum import RootDatum, RootDatumError
 
 
 class WeylError(RuntimeError):
-    pass
+    """An internal fault of the group tables, not a refusal of input."""
 
 
 # |W_0| above this (the order of the Weyl group of type E_6, which builds
@@ -85,7 +85,8 @@ class FiniteWeylGroup:
     |W_0| is known before the search: the exponents of W_0 are the parts
     of the partition dual to the numbers r_k of positive roots of height
     k (Kostant), so |W_0| = prod_k (k+1)^(r_k - r_{k+1}).  A group above
-    ``MAX_W0_ORDER`` is refused before any element is built.
+    ``MAX_W0_ORDER`` is refused with ``RootDatumError``, as a group of too
+    high a rank is, before any element is built.
     """
 
     def __init__(self, rd: RootDatum):
@@ -93,7 +94,7 @@ class FiniteWeylGroup:
         heights = Counter(map(sum, rd.positive_root_coords))
         order = math.prod((k + 1) ** (heights[k] - heights[k + 1]) for k in heights)
         if order > MAX_W0_ORDER:
-            raise WeylError(f"|W_0| = {order} exceeds bound {MAX_W0_ORDER}")
+            raise RootDatumError(f"|W_0| = {order} exceeds bound {MAX_W0_ORDER}")
         cartan = rd.cartan_matrix()
         # +-alpha^ -> index of the positive coroot alpha^
         signed = {tuple(s * c for c in bv): j

@@ -1,5 +1,6 @@
 """Command-line surface: table/JSON output, schema conformance, exit
-codes, environment-variable overrides, and byte-level determinism."""
+codes, the flags each command takes, independence from the environment,
+and byte-level determinism."""
 import contextlib
 import hashlib
 import importlib.util
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from satake.cli import main
 from satake.root_datum import MAX_RANK, catalog, dual
-from satake.weyl import MAX_W0_ORDER
+from satake.weyl import MAX_W0_ORDER, AffineWeylGroup, WeylError
 
 SRC_DIR = Path(__file__).parent.parent / "src"
 SCHEMA_DIR = SRC_DIR / "satake" / "schemas"
@@ -75,11 +76,6 @@ class TestDescribe:
         code, _, err = run(capsys, "describe", "--group", "E(8)")
         assert code == 2
         assert "error" in err
-
-    def test_negative_bound_rejected(self, capsys):
-        code, _, err = run(capsys, "describe", "--group", "GL(2)", "--bound", "-1")
-        assert code == 2
-        assert err == "error: bound must be >= 0\n"
 
     def test_python_dash_m(self, capsys):
         _, expected, _ = run(capsys, "describe", "--group", "GL(2)")
@@ -153,7 +149,7 @@ class TestInputErrors:
         ("hecke-mul", "--group", "torus(1)", "0"),
         ("ic-convolve", "--group", "SL(2)", "--mu", "1", "--lam", "1", "--n", "x"),
         ("verify", "--group", "SL(2)", "--bound", "x"),
-        ("describe", "--seed", "1.5"),
+        ("verify", "--group", "SL(2)", "--seed", "1.5"),
         ("ic-convolve", "--group", "SL(2)", "--mu", "1"),
         ("frobnicate",),
         (),
@@ -166,6 +162,43 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["satake-table", "verify"])
+    def test_negative_bound_rejected(self, capsys, command):
+        code, out, err = run(capsys, command, "--group", "GL(2)", "--bound", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: bound must be >= 0\n"
+
+
+class TestFlagsPerCommand:
+    """Each command takes only the flags it reads; any other flag, or a
+    prefix of one, is refused."""
+
+    @pytest.mark.parametrize("argv", [
+        ("describe", "--bound", "4"),
+        ("describe", "--seed", "1"),
+        ("describe", "--signed-trace"),
+        ("hecke-mul", "--bound", "4", "0"),
+        ("ic-convolve", "--mu", "1,0", "--lam", "1,0", "--signed-trace"),
+        ("satake-table", "--seed", "1"),
+        ("satake-table", "--s"),
+        ("verify", "--sig", "--bound", "2"),
+    ])
+    def test_unread_flag_refused(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], "--group", "GL(2)", *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: satake: unrecognized arguments: ")
+        assert err.count("\n") == 1
+
+
+def test_internal_weyl_fault_is_not_reported_as_bad_input(monkeypatch):
+    """An internal fault of the group tables raises out of ``main``; only
+    refused input is an ``error:`` line with exit 2."""
+    def fault(self, x):
+        raise WeylError("no descent for positive-length element")
+    monkeypatch.setattr(AffineWeylGroup, "reduced_word", fault)
+    with pytest.raises(WeylError, match="no descent"):
+        main(["hecke-mul", "--group", "SL(2)", "0"])
 
 
 class TestRankBound:
@@ -238,21 +271,26 @@ COMMA_TEXT = st.one_of(
 @st.composite
 def argvs(draw):
     """One satake command line: any subcommand, a catalog or malformed
-    group (products included), small bounds and weights, both flags."""
+    group (products included), small bounds and weights, and only the
+    flags the subcommand reads."""
     names = st.sampled_from(FAMILY_NAMES)
     group = draw(st.one_of(names, st.sampled_from(OUT_OF_RANGE_NAMES),
                            st.tuples(names, names).map("*".join)))
     command = draw(st.sampled_from(["describe", "hecke-mul", "ic-convolve",
                                     "satake-table", "verify"]))
-    argv = [command, "--group", group, "--bound", str(draw(st.integers(0, 6)))]
+    argv = [command, "--group", group]
     if command == "hecke-mul":
         argv += draw(st.lists(st.one_of(COMMA_TEXT, st.just("e")), min_size=1, max_size=3))
     elif command == "ic-convolve":
         argv += ["--mu", draw(COMMA_TEXT), "--lam", draw(COMMA_TEXT),
                  "--n", str(draw(st.integers(-2, 2)))]
-    elif command == "verify" and draw(st.booleans()):
-        argv.append("--inject-fault")
-    argv += [flag for flag in ("--json", "--signed-trace") if draw(st.booleans())]
+    elif command in ("satake-table", "verify"):
+        argv += ["--bound", str(draw(st.integers(0, 6)))]
+        argv += ["--signed-trace"] if draw(st.booleans()) else []
+        if command == "verify":
+            argv += ["--seed", str(draw(st.integers(0, 3)))]
+            argv += ["--inject-fault"] if draw(st.booleans()) else []
+    argv += ["--json"] if draw(st.booleans()) else []
     return argv
 
 
@@ -396,22 +434,19 @@ def test_describe_json_reads_one_epsilon_and_the_dual_name(capsys, group):
     assert doc["dual_group"] == dual(catalog(group)).name
 
 
-class TestEnvironmentOverrides:
-    def test_group_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("SATAKE_GROUP", "SL(2)")
-        code, out, _ = run(capsys, "describe")
-        assert code == 0
-        assert "group: SL(2)" in out
+class TestEnvironmentIgnored:
+    """No ``SATAKE_*`` variable, well-formed or not, changes what a
+    command prints or returns, not even where the command line leaves the
+    group or the bound at its default."""
 
-    def test_json_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("SATAKE_JSON", "1")
-        _, out, _ = run(capsys, "describe", "--group", "GL(2)")
-        json.loads(out)
-
-    @pytest.mark.parametrize("var", ["SATAKE_BOUND", "SATAKE_SEED"])
-    def test_malformed_integer_default_is_one_error_line(self, capsys, monkeypatch, var):
-        monkeypatch.setenv(var, "x")
-        code, out, err = run(capsys, "describe", "--group", "GL(2)")
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {var} must be an integer, got 'x'\n"
+    @pytest.mark.parametrize("argv", [("describe",), ("satake-table", "--bound", "4"),
+                                      ("verify", "--group", "SL(2)")],
+                             ids=lambda argv: argv[0])
+    def test_satake_variables_change_nothing(self, capsys, monkeypatch, argv):
+        expected = run(capsys, *argv)
+        for var, valid in [("GROUP", "SL(3)"), ("BOUND", "2"), ("SIGNED_TRACE", "1"),
+                           ("JSON", "1"), ("SEED", "3")]:
+            for value in (valid, "x"):
+                with monkeypatch.context() as m:
+                    m.setenv(f"SATAKE_{var}", value)
+                    assert run(capsys, *argv) == expected, (var, value)

@@ -1,7 +1,7 @@
 """The runtime contract of the package: it imports nothing but the
 standard library and its own modules, and no rational arithmetic, so
-every computation stays exact over the integers; every name a module
-imports is used there; and neither multiplication path reaches into the
+every computation stays exact over the integers; no module reads the
+environment; every name a module imports is used there; and neither multiplication path reaches into the
 other, so the agreement of the two stays an independent check.  The
 import is cheap: no module pulls in ``dataclasses``, and with it
 ``inspect``, so a CLI call does not pay for them on every start."""
@@ -49,6 +49,13 @@ def unused_imports(path):
             bound |= {alias.asname or alias.name for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(bound - used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_reads_no_environment(path):
+    """Output is a function of the arguments alone."""
+    text = path.read_text()
+    assert "os.environ" not in text and "getenv" not in text and "SATAKE_" not in text
 
 
 def test_every_module_is_scanned():

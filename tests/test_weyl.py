@@ -7,7 +7,7 @@ import pytest
 
 import satake.root_datum as rdm
 from satake import catalog, lattices, weyl
-from satake.weyl import (AffineWeylElement, AffineWeylGroup, FiniteWeylGroup, WeylError,
+from satake.weyl import (AffineWeylElement, AffineWeylGroup, FiniteWeylGroup,
                          affine_weyl_group, finite_weyl_group)
 
 from oracles import (affine_simple_refs, from_finite, omega_elements, orbit_oracle,
@@ -441,7 +441,7 @@ class TestW0Bound:
 
     def test_oversized_group_is_refused_before_enumeration(self, monkeypatch, built):
         monkeypatch.setattr(weyl, "MAX_W0_ORDER", 100)
-        with pytest.raises(WeylError, match="120 exceeds bound 100"):
+        with pytest.raises(rdm.RootDatumError, match="120 exceeds bound 100"):
             FiniteWeylGroup(catalog("SL(5)"))
         assert not built
 
