@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import root_datum as rdm
 from .hecke import IwahoriHecke, KeyLengthError, SphericalHecke
@@ -186,7 +187,9 @@ def cmd_verify(args) -> int:
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     common = _Parser(add_help=False)
     common.add_argument("--group", default="PGL(2)",
                         help="catalog group, e.g. GL(2), SL(3), PGL(2), Sp(4), SO(5), torus(1)")

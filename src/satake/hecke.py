@@ -9,7 +9,6 @@ package.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, sub
 
 from . import root_datum as rdm
 from .k0 import ICClass, SatakeK0
@@ -59,51 +58,36 @@ class IwahoriHecke:
         else (q-1) T_w + q T_ws.  Keys longer than ``MAX_KEY_LENGTH`` are
         refused with ``KeyLengthError`` before any product is formed; the
         lengths of b's keys are those of their words, and those of a's
-        keys are read from their root pairings.
+        keys are read from their pairing vectors.
 
         The running product of each word is a dict
-        {(translation, W_0 index): {exponent: coefficient}} of ints,
-        stepped letter by letter through the move table of
-        ``AffineWeylGroup``.  Each translation's root pairings are formed
-        once per call, in ``pairings``, and an affine letter moves them
-        by the table's column, so each ascent test is one lookup.  Every
-        word's result, times its coefficient in b, is added into one such
-        dict, and the polynomials and the LinComb are built once, at the
-        end."""
+        {(t, k): {exponent: coefficient}} of ints on the states of
+        ``AffineWeylGroup``, stepped letter by letter through its move
+        table; a translation's pairing vector and its successor under an
+        affine letter are read from the group's translation table, so each
+        ascent test is one lookup.  Every word's result, times its
+        coefficient in b, is added into one such dict, and the
+        polynomials and the LinComb are built once, at the end."""
         W = self.W
-        table, root_pairings = W._table, W.root_pairings
+        table, pairs, shift, state = W._table, W._pairs, W._shift, W._state
         factors = [(W.reduced_word(x), p) for x, p in b.items()]
-        pairings: dict[Vec, list[int]] = {}
-        for w in a.keys():
-            if w.translation not in pairings:
-                pairings[w.translation] = root_pairings(w.translation)
-        lengths = [sum(map(abs, map(sub, pairings[w.translation], w.finite.inverted)))
-                   for w in a.keys()] + [len(word) for (_, word), _ in factors]
+        left = [(state(w), c.terms) for w, c in a.items()]
+        lengths = [W._length(*s) for s, _ in left] + [len(word) for (_, word), _ in factors]
         if any(n > MAX_KEY_LENGTH for n in lengths):
             raise KeyLengthError(MAX_KEY_LENGTH)
         acc: dict = {}
         for (omega, word), p in factors:
-            shift = omega != W.identity
-            cur = {}
-            for w, c in a.items():
-                if shift:
-                    w = W.mul(w, omega)
-                    if w.translation not in pairings:
-                        pairings[w.translation] = root_pairings(w.translation)
-                cur[w.translation, w.finite.index] = dict(c.terms)
+            if omega == W.identity:
+                cur = {s: dict(terms) for s, terms in left}
+            else:
+                cur = {state(W.mul(w, omega)): dict(c.terms) for w, c in a.items()}
             for i in word:
                 nxt: dict = {}
                 for key, poly in cur.items():
-                    lam, k = key
-                    j, k_s, sign, threshold, move, column = table[k][i]
-                    up = sign * pairings[lam][j] >= threshold
-                    if move is not None:
-                        lam_s = tuple(map(add, lam, move))
-                        if lam_s not in pairings:
-                            pairings[lam_s] = list(map(add, pairings[lam], column))
-                        key_s = (lam_s, k_s)
-                    else:
-                        key_s = (lam, k_s)
+                    t, k = key
+                    j, k_s, sign, threshold, sc = table[k][i]
+                    up = sign * pairs[t][j] >= threshold
+                    key_s = (t if sc is None else shift(t, sc), k_s)
                     to_s = nxt.get(key_s)
                     if up and to_s is None:
                         nxt[key_s] = poly
@@ -120,9 +104,10 @@ class IwahoriHecke:
                 cur = nxt
             for key, poly in cur.items():
                 add_product(acc.setdefault(key, {}), poly.items(), p.terms)
-        elements = W.W0.elements
-        return LinComb._canonical({AffineWeylElement(lam, elements[k]): LaurentPoly.of_dict(poly)
-                                   for (lam, k), poly in acc.items() if any(poly.values())})
+        lams, elements = W._lams, W.W0.elements
+        return LinComb._canonical({AffineWeylElement(lams[t], elements[k]): f
+                                   for (t, k), poly in acc.items()
+                                   if (f := LaurentPoly.of_dict(poly))})
 
 
 class SphericalHecke:

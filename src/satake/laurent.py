@@ -8,6 +8,7 @@ into an ``{exponent: coefficient}`` dict of ints that ``of_dict`` reads.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -45,7 +46,9 @@ class LaurentPoly:
     def of_dict(cls, acc: dict[int, int]) -> "LaurentPoly":
         """The polynomial of an {exponent: coefficient} dict of ints, such
         as an ``add_product`` accumulator; zero coefficients are dropped."""
-        return cls._canonical(tuple(sorted(t for t in acc.items() if t[1])))
+        p = object.__new__(cls)
+        object.__setattr__(p, "_terms", tuple(sorted(filter(itemgetter(1), acc.items()))))
+        return p
 
     # -- constructors -------------------------------------------------
 

@@ -73,7 +73,12 @@ class LinComb:
 
     @classmethod
     def unit(cls, key: Hashable, scalar: LaurentPoly | None = None) -> "LinComb":
-        return cls(((key, ONE if scalar is None else scalar),))
+        """scalar * key, wrapped without summing; zero if the scalar is."""
+        if scalar is None:
+            scalar = ONE
+        elif not isinstance(scalar, LaurentPoly):
+            raise TypeError("scalars must be LaurentPoly")
+        return cls._canonical({key: scalar} if scalar else {})
 
     def coefficient(self, key: Hashable) -> LaurentPoly:
         return self._coeffs.get(key, LaurentPoly.zero())

@@ -67,7 +67,7 @@ class FiniteWeylGroup:
     reflections on the right, meets the elements in (length, word) order,
     so ``elements`` is sorted that way.  Each element has one row list,
     ``rows[k]``, whose i-th entry for a finite s_i is the move-table entry
-    ``(j, k_s, sign, threshold, None, None)`` of ``AffineWeylGroup``
+    ``(j, k_s, sign, threshold, None)`` of ``AffineWeylGroup``
     (which appends the affine entries to the same lists); products and
     inverses walk the canonical words through its column ``k_s``, the
     index of ``elements[k]`` times s_i.
@@ -129,7 +129,7 @@ class FiniteWeylGroup:
                 # the length goes up iff sign * <alpha_j, lam> >= threshold
                 # (``AffineWeylGroup._move_table``)
                 sign, threshold = (1, 1) if w.inverted[j] else (-1, 0)
-                row.append((j, self.by_inverted[flags].index, sign, threshold, None, None))
+                row.append((j, self.by_inverted[flags].index, sign, threshold, None))
             self.rows.append(row)
         if len(self.elements) != order:
             raise WeylError(f"BFS found {len(self.elements)} elements, not |W_0| = {order}")
@@ -186,7 +186,13 @@ class AffineWeylGroup:
     Highest roots of distinct components have disjoint supports, so
     sorting their simple-root coordinates in descending order puts them
     in the order of the first simple root of each component.  With
-    theta^ = u alpha_k^ (``_simple_conjugate``), s_theta = u s_k u^-1."""
+    theta^ = u alpha_k^ (``_simple_conjugate``), s_theta = u s_k u^-1.
+
+    Word products, reduced words and Hecke products walk integer states
+    (t, k), k indexing ``W0.elements`` and t the translation table, grown
+    on first touch: row t holds ``_lams[t]`` (``_ids`` inverts it), its
+    pairings ``_pairs[t]`` and, memoised in ``_succ[t][c]``, the row of
+    its sum with the signed coroot c of ``_coroots``."""
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
@@ -206,6 +212,11 @@ class AffineWeylGroup:
             self.simple_refs.append(AffineWeylElement(theta_cov, s_theta))
             affine.append((u, m, s_theta))
         self._table = self._move_table(affine)
+        self._lams: list[Vec] = []
+        self._ids: dict[Vec, int] = {}
+        self._pairs: list[tuple[int, ...]] = []
+        self._succ: list[list[int | None]] = []
+        self._tid(self.identity.translation)
 
     # -- structure ----------------------------------------------------
 
@@ -223,23 +234,24 @@ class AffineWeylGroup:
         return u, rd.simple_coroots.index(bv)
 
     def _move_table(self, affine) -> list[list[tuple]]:
-        """The move table: ``table[k][i] = (j, k_s, sign, threshold, move,
-        column)`` for w = W0.elements[k] and the i-th affine simple
-        reflection.  The finite entries are those of ``W0.rows``; the
-        affine ones are appended to the same lists, from the (u, m,
-        s_theta) of each affine reflection, where theta^ = u alpha_m^, so
-        the table is ``W0.rows``.  Every word product, reduced word and
-        Hecke product reads this table.
+        """The move table: ``table[k][i] = (j, k_s, sign, threshold, c)``
+        for w = W0.elements[k] and the i-th affine simple reflection.  The
+        finite entries are those of ``W0.rows``; the affine ones are
+        appended to the same lists, from the (u, m, s_theta) of each
+        affine reflection, where theta^ = u alpha_m^, so the table is
+        ``W0.rows``.  Every word product, reduced word and Hecke product
+        reads this table.
 
         alpha_j is the positive root +-w alpha_i for a finite s_i, and
         +-w theta = +-(wu) alpha_m for s_0 = t_{theta^} s_theta; the sign
         is - exactly when w inverts alpha_j, i.e. its flag f is 1.  k_s
         is the index of w s_i or w s_theta.  A finite s_i keeps the
-        translation: x s_i = t_lam (w s_i).  s_0 gives
-        t_{lam + w theta^} (w s_theta), so ``move`` is the signed coroot
-        +-alpha_j^ added to lam and ``column`` the signed pairings
-        +-<alpha, alpha_j^> over the positive roots alpha added to those
-        of lam; both are None for a finite letter.
+        translation: x s_i = t_lam (w s_i), and c is None.  s_0 gives
+        t_{lam + w theta^} (w s_theta), so c = j + f N, N the number of
+        positive roots, indexes ``_coroots``, which holds each signed
+        coroot +-alpha_j^ once, as the pair (move, column): the vector
+        added to lam and the pairings +-<alpha, alpha_j^> over the
+        positive roots alpha added to those of lam.
 
         For x = t_lam w and k = <alpha_j, lam>, l(x s_i) > l(x) iff
         sign * k >= threshold.  For a finite s_i the flags of w and w s_i
@@ -253,16 +265,46 @@ class AffineWeylGroup:
         test is 1 + k > 0, i.e. k >= 0; if f = 1, w theta = -alpha_j and
         the test is 1 - k >= 0, i.e. -k >= -1."""
         W0, rd = self.W0, self.rd
-        # signed[f][j] = (move, column) of alpha_j with flag f
         plus = [(bv, tuple(self.root_pairings(bv))) for bv in rd.positive_coroots]
-        signed = (plus, [(tuple(-c for c in bv), tuple(-c for c in col)) for bv, col in plus])
+        self._coroots = plus + [(tuple(-c for c in bv), tuple(-c for c in col)) for bv, col in plus]
         for w, row in zip(W0.elements, W0.rows):
             for u, m, s_theta in affine:
                 j = W0.rows[W0.mul(w, u).index][m][0]
                 f = w.inverted[j]
                 sign, threshold = (-1, -1) if f else (1, 0)
-                row.append((j, W0.mul(w, s_theta).index, sign, threshold) + signed[f][j])
+                row.append((j, W0.mul(w, s_theta).index, sign, threshold, j + f * len(plus)))
         return W0.rows
+
+    # -- the translation table -------------------------------------------
+
+    def _tid(self, lam: Vec, pairings: tuple[int, ...] | None = None) -> int:
+        """The index of the translation lam, added on first touch with its
+        pairing vector: ``pairings`` if given, else ``root_pairings``'s."""
+        t = self._ids.get(lam)
+        if t is None:
+            self._pairs.append(tuple(self.root_pairings(lam)) if pairings is None else pairings)
+            t = self._ids[lam] = len(self._lams)
+            self._lams.append(lam)
+            self._succ.append([None] * len(self._coroots))
+        return t
+
+    def _shift(self, t: int, c: int) -> int:
+        """The index of _lams[t] plus the signed coroot c, memoised in
+        ``_succ[t][c]``; its pairings are those of t plus the coroot's
+        column, so no root is paired."""
+        t_s = self._succ[t][c]
+        if t_s is None:
+            move, column = self._coroots[c]
+            t_s = self._succ[t][c] = self._tid(tuple(map(operator.add, self._lams[t], move)),
+                                               tuple(map(operator.add, self._pairs[t], column)))
+        return t_s
+
+    def _state(self, x: AffineWeylElement) -> tuple[int, int]:
+        return self._tid(x.translation), x.finite.index
+
+    def _length(self, t: int, k: int) -> int:
+        """``im_length`` of the state (t, k), from the stored pairings."""
+        return sum(map(abs, map(operator.sub, self._pairs[t], self.W0.elements[k].inverted)))
 
     # -- group operations ---------------------------------------------
 
@@ -277,20 +319,23 @@ class AffineWeylGroup:
 
     def word_to_element(self, word: Iterable[int]) -> AffineWeylElement:
         """The product of the affine simple reflections along ``word``,
-        walked through the move table; no root is paired."""
-        lam, k = self.identity.translation, 0
+        walked on states from the identity's, (0, 0), through the move
+        table and the translation table; no root is paired."""
+        t = k = 0
         table = self._table
         for i in word:
-            _, k, _, _, move, _ = table[k][i]
-            if move is not None:
-                lam = tuple(map(operator.add, lam, move))
-        return AffineWeylElement(lam, self.W0.elements[k])
+            _, k_s, _, _, c = table[k][i]
+            if c is not None:
+                t = self._shift(t, c)
+            k = k_s
+        return AffineWeylElement(self._lams[t], self.W0.elements[k])
 
     # -- length and reduced words --------------------------------------
 
     def im_length(self, x: AffineWeylElement) -> int:
         """Iwahori-Matsumoto length of t_lam w: the sum over positive roots
-        alpha of |<alpha, lam>| if w^-1 alpha > 0, else |<alpha, lam> - 1|."""
+        alpha of |<alpha, lam>| if w^-1 alpha > 0, else |<alpha, lam> - 1|,
+        from pairings formed afresh, apart from the translation table."""
         return sum(map(abs, map(operator.sub, self.root_pairings(x.translation),
                                 x.finite.inverted)))
 
@@ -315,8 +360,9 @@ class AffineWeylGroup:
 
     def root_pairings(self, nu: Vec) -> list[int]:
         """<alpha, nu> for each positive root alpha, in the order of the
-        inversion flags.  Lengths, descent tests and the move table's
-        columns read their pairings from here."""
+        inversion flags.  Lengths and the move table's columns read their
+        pairings from here, and the translation table reads each
+        translation's from here once (``_tid``)."""
         return [sum(map(operator.mul, alpha, nu)) for alpha in self.rd.positive_roots]
 
     def reduced_word(self, x: AffineWeylElement) -> tuple[AffineWeylElement, tuple[int, ...]]:
@@ -327,27 +373,25 @@ class AffineWeylGroup:
         Each step takes the first i with l(y s_i) < l(y) for the current
         y (first x itself) and moves y to y s_i, both read from the move
         table; the letters are found from the right end of the word, and
-        the y left at length zero is omega.  The pairings <alpha, lam> of y's
-        translation are computed once: an affine letter moves lam by
-        +-alpha_j^, so they move by the stored column <alpha, alpha_j^>,
-        and each descent test reads one of them from the move table."""
-        table = self._table
-        lam, k = x.translation, x.finite.index
-        pairings = self.root_pairings(lam)
+        the y left at length zero is omega.  y is walked as a state, so
+        each descent test reads one pairing of its translation's stored
+        vector, and a translation already in the table is not paired
+        again."""
+        table, pairs = self._table, self._pairs
+        t, k = self._state(x)
         word: list[int] = []
-        # im_length(x), read from the pairings
-        for _ in range(sum(map(abs, map(operator.sub, pairings, x.finite.inverted)))):
-            for i, (j, k_s, sign, threshold, move, column) in enumerate(table[k]):
-                if sign * pairings[j] < threshold:
+        for _ in range(self._length(t, k)):
+            p = pairs[t]
+            for i, (j, k_s, sign, threshold, c) in enumerate(table[k]):
+                if sign * p[j] < threshold:
                     break
             else:
                 raise WeylError(f"no descent for positive-length element {x!r}")
             word.append(i)
+            if c is not None:
+                t = self._shift(t, c)
             k = k_s
-            if move is not None:
-                lam = tuple(map(operator.add, lam, move))
-                pairings = list(map(operator.add, pairings, column))
-        return AffineWeylElement(lam, self.W0.elements[k]), tuple(reversed(word))
+        return AffineWeylElement(self._lams[t], self.W0.elements[k]), tuple(reversed(word))
 
     # -- W_0-orbits ------------------------------------------------------
 

@@ -400,10 +400,10 @@ def step(W, key, i: int):
     table of W with no matrix product: the one-letter step that
     ``IwahoriHecke.mul`` and ``reduced_word`` take inline."""
     lam, k = key
-    j, k_s, sign, threshold, move, _ = W._table[k][i]
+    j, k_s, sign, threshold, c = W._table[k][i]
     up = sign * W.root_pairings(lam)[j] >= threshold
-    if move is not None:
-        lam = vadd(lam, move)
+    if c is not None:
+        lam = vadd(lam, W._coroots[c][0])
     return (lam, k_s), up
 
 

@@ -2,6 +2,7 @@
 codes, the flags each command takes, independence from the environment,
 and byte-level determinism."""
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -16,7 +17,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satake.cli import main
+from satake.cli import build_parser, main
 from satake.root_datum import MAX_RANK, catalog, dual
 from satake.weyl import MAX_W0_ORDER, AffineWeylGroup, WeylError
 
@@ -294,6 +295,42 @@ def argvs(draw):
     return argv
 
 
+@functools.lru_cache(maxsize=None)
+def fresh_process_run(argv: tuple[str, ...]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``python -m satake`` on argv."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC_DIR)] + ([path] if path else [])))
+    proc = subprocess.run([sys.executable, "-m", "satake", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestOneParser:
+    """``build_parser`` builds the parser once per process, and parsing
+    leaves no trace in it: after a refused command line, an accepted one
+    prints and returns what it does in a fresh process."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("accepted", [
+        ("verify", "--group", "SL(2)", "--bound", "2"),
+        ("satake-table", "--group", "GL(2)", "--bound", "4", "--json"),
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("refused", [
+        ("verify", "--group", "SL(2)", "--bound", "-1", "--seed", "3", "--signed-trace"),
+        ("verify", "--seed", "x", "--json"),
+        ("satake-table", "--bound", "2", "--signed-trace", "--seed", "1"),
+        ("describe", "--json", "--bound", "3"),
+        ("hecke-mul", "--group", "SL(3)"),
+        ("nonsense",),
+    ])
+    def test_refused_then_accepted_parses_as_fresh(self, capsys, refused, accepted):
+        code, out, err = run(capsys, *refused)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert run(capsys, *accepted) == fresh_process_run(accepted)
+
+
 class TestArgvFuzz:
     @settings(max_examples=150, deadline=None)
     @given(argvs())
@@ -351,6 +388,18 @@ class TestBenchReferences:
         code, out, _ = run(capsys, "verify", "--group", group, "--bound", str(bound), "--seed", "1")
         assert code == 0
         assert out == ref.read_text()
+
+    @pytest.mark.parametrize("workload, seed", [("iwahori-words", 0), ("iwahori-words", 1),
+                                                ("dual-table", 1)])
+    def test_workload_matches_bench_reference(self, workload, seed):
+        """The benchmark's own body and check of the other two workloads,
+        run in this process: no operation may fail."""
+        import satake
+        body, check = bench_child.WORKLOADS[workload]
+        results = body(satake, seed, "none", bench_child.Marks())
+        out = bench_child.Outcome()
+        check(satake, seed, "none", bench_child.load_references(workload), results, out)
+        assert out.attempted > 0 and out.failed == 0, (out.attempted, out.failed)
 
 
 class TestDeterminism:

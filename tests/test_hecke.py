@@ -174,9 +174,10 @@ class TestStepwiseOracle:
 
 class TestWorkCounts:
     """The cost shape of the Iwahori path, pinned by counting calls: no
-    length measured by the product itself, one pairing vector per word
-    and per translation of the left factor, no matrix product per letter
-    of a word, and one LinComb per product."""
+    length measured by the product itself, each translation paired at
+    most once per group, when the group's translation table first meets
+    it as an element's, no matrix product per letter of a word, and one
+    LinComb per product."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -201,16 +202,65 @@ class TestWorkCounts:
         monkeypatch.setattr(weyl, "mat_vec", counted_mat_vec)
         return counts
 
-    @pytest.mark.parametrize("name", ["PGL(2)", "SL(3)", "Sp(4)*SL(2)"])
-    def test_reduced_word_measures_once(self, counts, name):
-        W = affine_weyl_group(catalog(name))
-        rng = random.Random(41)
-        for size in (1, 4, 16, 64):
-            word = [rng.randrange(len(W.simple_refs)) for _ in range(size)]
-            x = W.word_to_element(word)
-            counts.update(im_length=0, mat_vec=0, root_pairings=0)
-            W.reduced_word(x)
-            assert counts == {"im_length": 0, "mat_vec": 0, "root_pairings": 1}, (size, counts)
+    @staticmethod
+    def record_pairings(monkeypatch, W) -> list:
+        """The translations W pairs from now on; pairing one that W's
+        table already holds, or pairing in another group, fails at once."""
+        paired = []
+        root_pairings = AffineWeylGroup.root_pairings
+
+        def checked(group, nu):
+            assert group is W and nu not in W._ids, nu
+            paired.append(nu)
+            return root_pairings(group, nu)
+
+        monkeypatch.setattr(AffineWeylGroup, "root_pairings", checked)
+        return paired
+
+    @pytest.mark.parametrize("name", ["PGL(2)", "SL(3)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_reduced_word_measures_once(self, counts, monkeypatch, name):
+        """Over a seeded mix of word products, reduced words and Hecke
+        products, on the cached group in whatever state earlier tests
+        left its table and then on a fresh one, a translation is paired
+        only while the table does not hold it, so at most once, and no
+        length is measured nor matrix product formed.  A word product
+        pairs nothing, and a reduced word of a translation far out pairs
+        it if it is new, and nothing else."""
+        rd = catalog(name)
+        for fresh in (False, True):
+            iw = IwahoriHecke(rd)
+            if fresh:
+                iw.W = AffineWeylGroup(rd)
+            W, rng = iw.W, random.Random(41)
+            n = len(W.simple_refs)
+            omegas = omega_elements(W, box=1)
+            far = [tuple(rng.randrange(-9, 10) for _ in range(rd.rank)) for _ in range(4)]
+
+            def element(size):
+                x = W.word_to_element([rng.randrange(n) for _ in range(rng.randrange(size))])
+                return W.mul(rng.choice(omegas), x)
+
+            with monkeypatch.context() as m:
+                paired = self.record_pairings(m, W)
+                counts.update(im_length=0, mat_vec=0, root_pairings=0)
+                for _ in range(60):
+                    op = rng.randrange(3)
+                    if op == 0:
+                        before = len(paired)
+                        W.word_to_element([rng.randrange(n) for _ in range(64)])
+                        assert len(paired) == before
+                    elif op == 1:
+                        W.reduced_word(element(64))
+                    else:
+                        iw.mul(LinComb((element(10), ONE) for _ in range(3)),
+                               iw.basis(element(10)))
+                for lam in far:
+                    before, known = len(paired), lam in W._ids
+                    W.reduced_word(W.translation(lam))
+                    assert paired[before:] == ([] if known else [lam])
+            assert counts == {"im_length": 0, "mat_vec": 0, "root_pairings": len(paired)}
+            assert len(paired) == len(set(paired))
+            assert paired or not fresh
 
     @pytest.mark.parametrize("name", ["PGL(2)", "GL(3)", "Sp(4)*SL(2)"])
     def test_mul_inverts_nothing(self, monkeypatch, name):
@@ -231,14 +281,18 @@ class TestWorkCounts:
     @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
     def test_mul_measures_each_key_once(self, counts, monkeypatch, name):
         """The product measures no length: the guard reads the lengths of
-        a's keys from their pairing vectors, and each distinct translation
-        of a's keys, before and after the omega shift, is paired at most
-        once; the guard still needs every translation of a paired.  The
-        words of b are read from a memo, so every pairing counted is the
-        product's own (``test_reduced_word_measures_once`` pins theirs)."""
+        a's keys from the table's pairing vectors, and a translation of
+        a's keys, before or after the omega shift, is paired only while
+        the table does not hold it, so at most once; afterwards the table
+        holds them all.  The group is fresh, so a's translations are new
+        to it.  The words of b are read from a memo, so every pairing
+        counted is the product's own (``test_reduced_word_measures_once``
+        pins theirs)."""
         rd = catalog(name)
+        monkeypatch.setattr(hecke, "affine_weyl_group", AffineWeylGroup)
         sph = SphericalHecke(rd)
         iw, W = sph.iwahori, sph.W
+        iw.W = W
         rng = random.Random(43)
         mu = rdm.dominant_reps(rd, 4)[-1]
         a = indicator_from_iwahori(sph, mu)
@@ -249,16 +303,16 @@ class TestWorkCounts:
         assert name != "GL(3)" or len(shifts - {W.identity}) >= 2
         left = {w.translation for w in a.keys()}
         shifted = {W.mul(w, omega).translation for w in a.keys() for omega in shifts}
-        paired = []
-        root_pairings = AffineWeylGroup.root_pairings
         monkeypatch.setattr(AffineWeylGroup, "reduced_word", lambda W, x: words[x])
-        monkeypatch.setattr(AffineWeylGroup, "root_pairings",
-                            lambda W, nu: paired.append(nu) or root_pairings(W, nu))
+        before = set(W._ids)
+        assert left - before
+        paired = self.record_pairings(monkeypatch, W)
         counts.update(im_length=0)
         iw.mul(a, b)
         assert counts["im_length"] == 0
         assert len(paired) == len(set(paired)), Counter(paired).most_common(3)
-        assert left <= set(paired) <= left | shifted
+        assert left - before <= set(paired) <= (left | shifted) - before
+        assert left | shifted <= set(W._ids)
 
     @pytest.mark.parametrize("name", ["SL(3)", "GL(3)", "Sp(4)*SL(2)"])
     def test_c_mul_multiplies_the_left_minimal_elements_once(self, counts, monkeypatch, name):
@@ -308,6 +362,7 @@ class TestWorkCounts:
         built = Counter()
         lincomb_init, canonical = LinComb.__init__, LaurentPoly._canonical.__func__
         laurent_init, lincomb_canonical = LaurentPoly.__init__, LinComb._canonical.__func__
+        of_dict = LaurentPoly.of_dict.__func__
 
         def counted(kind, f):
             def wrapper(*args, **kwargs):
@@ -321,6 +376,7 @@ class TestWorkCounts:
         monkeypatch.setattr(LaurentPoly, "__init__", counted("LaurentPoly", laurent_init))
         monkeypatch.setattr(LaurentPoly, "_canonical",
                             classmethod(counted("LaurentPoly", canonical)))
+        monkeypatch.setattr(LaurentPoly, "of_dict", classmethod(counted("LaurentPoly", of_dict)))
         iw = IwahoriHecke(catalog(name))
         W = iw.W
         rng = random.Random(53)

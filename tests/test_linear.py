@@ -41,6 +41,17 @@ def test_non_laurent_scalar_rejected():
             LinComb(pairs)
 
 
+@given(polys)
+def test_unit_matches_the_summing_constructor(p):
+    """``unit`` wraps its one term directly: the same LinComb as the
+    constructor's, the zero one for a zero scalar."""
+    assert LinComb.unit("a", p) == LinComb((("a", p),))
+    assert LinComb.unit("a", p).is_zero() == p.is_zero()
+    assert LinComb.unit("a") == LinComb((("a", LaurentPoly.one()),))
+    with pytest.raises(TypeError):
+        LinComb.unit("a", 1)
+
+
 def test_add_identity():
     x = LinComb((("a", C(2)), ("b", LaurentPoly.q())))
     assert x + LinComb.zero() == x

@@ -7,6 +7,7 @@ import pytest
 
 import satake.root_datum as rdm
 from satake import catalog, lattices, weyl
+from satake.lattices import vadd
 from satake.weyl import (AffineWeylElement, AffineWeylGroup, FiniteWeylGroup,
                          affine_weyl_group, finite_weyl_group)
 
@@ -421,13 +422,97 @@ class TestOneTable:
         assert len(W._table) == len(W0)
         for k, w in enumerate(W0.elements):
             assert W._table[k] is W0.rows[k] and len(W0.rows[k]) == len(W.simple_refs)
-            for i, (j, _, sign, threshold, move, column) in enumerate(W0.rows[k][:len(rd.simple_roots)]):
-                assert (sign, threshold, move, column) == \
-                    ((1, 1, None, None) if w.inverted[j] else (-1, 0, None, None))
+            for i, (j, _, sign, threshold, c) in enumerate(W0.rows[k][:len(rd.simple_roots)]):
+                assert (sign, threshold, c) == ((1, 1, None) if w.inverted[j] else (-1, 0, None))
                 for lam, p in zip(vectors, pairings):
                     x = AffineWeylElement(lam, w)
                     up = W.im_length(W.mul(x, W.simple_refs[i])) > W.im_length(x)
                     assert up == (sign * p[j] >= threshold), (x, i)
+
+    @pytest.mark.parametrize("name", WORD_GROUPS + sorted(CARTAN_TYPES))
+    def test_affine_entries_index_one_signed_coroot(self, name):
+        """An affine entry's c is j + f N, and ``_coroots[c]`` is the
+        signed coroot +-alpha_j^, - exactly when f = 1, with its pairings;
+        the sign and threshold rule is checked against the length as for
+        the finite entries."""
+        rd = from_cartan(name, CARTAN_TYPES[name]) if name in CARTAN_TYPES else catalog(name)
+        W = AffineWeylGroup(rd)
+        N = len(rd.positive_coroots)
+        assert len(W._coroots) == 2 * N
+        for c, (move, column) in enumerate(W._coroots):
+            s = 1 - 2 * (c >= N)
+            bv = tuple(s * x for x in rd.positive_coroots[c % N])
+            assert (move, list(column)) == (bv, W.root_pairings(bv))
+        e0 = lattices.identity_matrix(rd.rank)[0]
+        vectors = [(0,) * rd.rank, e0, tuple(-c for c in e0)]
+        for w, row in zip(W.W0.elements, W._table):
+            for i, (j, k_s, sign, threshold, c) in enumerate(row):
+                if i < len(rd.simple_roots):
+                    continue
+                assert c == j + w.inverted[j] * N
+                for lam in vectors:
+                    x = AffineWeylElement(lam, w)
+                    xs = W.mul(x, W.simple_refs[i])
+                    assert xs == (vadd(lam, W._coroots[c][0]), W.W0.elements[k_s])
+                    up = W.im_length(xs) > W.im_length(x)
+                    assert up == (sign * W.root_pairings(lam)[j] >= threshold), (x, i)
+
+
+class TestTranslationTable:
+    """The per-group translation table that the Iwahori path walks on:
+    after a seeded sweep of products, reduced words and word products,
+    its indices are dense, each row holds its translation, the pairing
+    vector of that translation and successors that are the translation
+    plus the signed coroot; and the table's state does not reach the
+    output."""
+
+    @pytest.mark.parametrize("name", ["GL(3)", "Sp(4)*SL(2)", "G2"])
+    def test_rows_after_a_sweep(self, name):
+        from satake.hecke import IwahoriHecke
+        rd = from_cartan(name, CARTAN_TYPES[name]) if name in CARTAN_TYPES else catalog(name)
+        iw = IwahoriHecke(rd)
+        W = AffineWeylGroup(rd)
+        iw.W = W
+        rng = random.Random(83)
+        for _ in range(30):
+            x, y = (random_element(W, rng, 8) for _ in range(2))
+            W.reduced_word(W.mul(x, y))
+            iw.mul(iw.basis(x), iw.basis(y))
+        lams, ids = W._lams, W._ids
+        assert len(lams) > 5
+        assert sorted(ids.values()) == list(range(len(lams))) == [ids[lam] for lam in lams]
+        assert len(W._pairs) == len(W._succ) == len(lams)
+        for t, lam in enumerate(lams):
+            assert list(W._pairs[t]) == W.root_pairings(lam), lam
+            for c, t_s in enumerate(W._succ[t]):
+                assert t_s is None or lams[t_s] == vadd(lam, W._coroots[c][0]), (lam, c)
+        assert any(t_s is not None for row in W._succ for t_s in row)
+
+    @pytest.mark.parametrize("group, words", [
+        ("GL(3)", ["0,1,2", "2,1,0,2", "1,2,1,0"]),
+        ("Sp(4)*SL(2)", ["3,0,1", "4,1,0,2,3", "0,3,0,1,2,4"]),
+        ("SO(5)", ["2,1,0,1", "0,2,1,2,0"]),
+    ])
+    def test_hecke_mul_output_is_table_independent(self, monkeypatch, capsys, group, words):
+        """``hecke-mul`` prints the same bytes on a cold group and on one
+        whose table unrelated products have grown first."""
+        from satake import hecke
+        from satake.cli import main
+        rd = catalog(group)
+        monkeypatch.setattr(hecke, "affine_weyl_group", AffineWeylGroup)
+        assert main(["hecke-mul", "--group", group, *words]) == 0
+        cold = capsys.readouterr()
+        warm = AffineWeylGroup(rd)
+        iw = hecke.IwahoriHecke(rd)
+        iw.W = warm
+        rng = random.Random(89)
+        for _ in range(20):
+            iw.mul(iw.basis(random_element(warm, rng, 10)), iw.basis(random_element(warm, rng, 10)))
+        size = len(warm._lams)
+        monkeypatch.setattr(hecke, "affine_weyl_group", lambda rd: warm)
+        assert main(["hecke-mul", "--group", group, *words]) == 0
+        assert capsys.readouterr() == cold
+        assert len(warm._lams) >= size > 1
 
 
 class TestW0Bound:
