@@ -174,10 +174,11 @@ def cmd_satake_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_all(catalog(args.group), args.bound, args.seed,
+    rd = catalog(args.group)
+    results = run_all(rd, args.bound, args.seed,
                       signed_trace=args.signed_trace, inject_fault=args.inject_fault)
     if args.json:
-        print(json.dumps({"group": args.group, "bound": args.bound,
+        print(json.dumps({"group": rd.name, "bound": args.bound,
                           "seed": args.seed,
                           "results": [{"suite": n, "passed": ok, "detail": d}
                                       for n, ok, d in results]}, indent=2))

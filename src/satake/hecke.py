@@ -57,30 +57,33 @@ class IwahoriHecke:
         Iwahori-Matsumoto rule: T_w T_s = T_ws if the length goes up,
         else (q-1) T_w + q T_ws.  Keys longer than ``MAX_KEY_LENGTH`` are
         refused with ``KeyLengthError`` before any product is formed; the
-        lengths of b's keys are those of their words, and those of a's
-        keys are read from their pairing vectors.
+        words of b's keys, and so their lengths, are read from the
+        group's memo of reduced words (``AffineWeylGroup._word``), and
+        the lengths of a's keys from their pairing vectors.
 
-        The running product of each word is a dict
-        {(t, k): {exponent: coefficient}} of ints on the states of
-        ``AffineWeylGroup``, stepped letter by letter through its move
-        table; a translation's pairing vector and its successor under an
-        affine letter are read from the group's translation table, so each
-        ascent test is one lookup.  Every word's result, times its
-        coefficient in b, is added into one such dict, and the
+        Each key of a is turned into its state (t, k) of
+        ``AffineWeylGroup`` once.  The running product of each word is a
+        dict {(t, k): {exponent: coefficient}} of ints, started from a's
+        coefficients times the key's coefficient in b and stepped letter
+        by letter through the group's move table; a translation's pairing
+        vector and its successor under an affine letter are read from the
+        translation table, so each ascent test is one lookup.  Every
+        word's result is merged into one accumulator, and the
         polynomials and the LinComb are built once, at the end."""
         W = self.W
         table, pairs, shift, state = W._table, W._pairs, W._shift, W._state
-        factors = [(W.reduced_word(x), p) for x, p in b.items()]
-        left = [(state(w), c.terms) for w, c in a.items()]
-        lengths = [W._length(*s) for s, _ in left] + [len(word) for (_, word), _ in factors]
-        if any(n > MAX_KEY_LENGTH for n in lengths):
+        left = [(w, state(w), c.terms) for w, c in a.items()]
+        factors = [(W._word(state(x)), p.terms) for x, p in b.items()]
+        if (any(W._length(*s) > MAX_KEY_LENGTH for _, s, _ in left)
+                or any(len(word) > MAX_KEY_LENGTH for (_, word), _ in factors)):
             raise KeyLengthError(MAX_KEY_LENGTH)
         acc: dict = {}
-        for (omega, word), p in factors:
-            if omega == W.identity:
-                cur = {s: dict(terms) for s, terms in left}
+        for ((t_o, k_o), word), p in factors:
+            if t_o == k_o == 0:       # omega is 1, whose state is (0, 0)
+                cur = {s: add_product({}, terms, p) for _, s, terms in left}
             else:
-                cur = {state(W.mul(w, omega)): dict(c.terms) for w, c in a.items()}
+                omega = AffineWeylElement(W._lams[t_o], W.W0.elements[k_o])
+                cur = {state(W.mul(w, omega)): add_product({}, terms, p) for w, _, terms in left}
             for i in word:
                 nxt: dict = {}
                 for key, poly in cur.items():
@@ -103,7 +106,10 @@ class IwahoriHecke:
                             to_w[e] = to_w.get(e, 0) - c
                 cur = nxt
             for key, poly in cur.items():
-                add_product(acc.setdefault(key, {}), poly.items(), p.terms)
+                into = acc.setdefault(key, poly)
+                if into is not poly:
+                    for e, c in poly.items():
+                        into[e] = into.get(e, 0) + c
         lams, elements = W._lams, W.W0.elements
         return LinComb._canonical({AffineWeylElement(lams[t], elements[k]): f
                                    for (t, k), poly in acc.items()

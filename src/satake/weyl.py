@@ -192,7 +192,10 @@ class AffineWeylGroup:
     (t, k), k indexing ``W0.elements`` and t the translation table, grown
     on first touch: row t holds ``_lams[t]`` (``_ids`` inverts it), its
     pairings ``_pairs[t]`` and, memoised in ``_succ[t][c]``, the row of
-    its sum with the signed coroot c of ``_coroots``."""
+    its sum with the signed coroot c of ``_coroots``.  Beside the table,
+    ``_words`` maps a state to its right-greedy (omega state, word),
+    stored the first time the word is asked for (``_word``) and kept, as
+    the table is, for the group's lifetime."""
 
     def __init__(self, rd: RootDatum):
         self.rd = rd
@@ -216,6 +219,7 @@ class AffineWeylGroup:
         self._ids: dict[Vec, int] = {}
         self._pairs: list[tuple[int, ...]] = []
         self._succ: list[list[int | None]] = []
+        self._words: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, ...]]] = {}
         self._tid(self.identity.translation)
 
     # -- structure ----------------------------------------------------
@@ -368,30 +372,40 @@ class AffineWeylGroup:
     def reduced_word(self, x: AffineWeylElement) -> tuple[AffineWeylElement, tuple[int, ...]]:
         """Right-greedy reduced word; returns (omega, word) with
         x = omega * (product of simple reflections along word), omega of
-        length zero and len(word) = im_length(x).
+        length zero and len(word) = im_length(x).  The answer is the memo
+        entry of x's state (``_word``)."""
+        (t, k), word = self._word(self._state(x))
+        return AffineWeylElement(self._lams[t], self.W0.elements[k]), word
+
+    def _word(self, s: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, ...]]:
+        """(omega, word) of ``reduced_word`` for the state s, omega as a
+        state, walked once per group and then read from ``_words``.
 
         Each step takes the first i with l(y s_i) < l(y) for the current
-        y (first x itself) and moves y to y s_i, both read from the move
+        y (first s itself) and moves y to y s_i, both read from the move
         table; the letters are found from the right end of the word, and
-        the y left at length zero is omega.  y is walked as a state, so
-        each descent test reads one pairing of its translation's stored
-        vector, and a translation already in the table is not paired
-        again."""
-        table, pairs = self._table, self._pairs
-        t, k = self._state(x)
-        word: list[int] = []
-        for _ in range(self._length(t, k)):
-            p = pairs[t]
-            for i, (j, k_s, sign, threshold, c) in enumerate(table[k]):
-                if sign * p[j] < threshold:
-                    break
-            else:
-                raise WeylError(f"no descent for positive-length element {x!r}")
-            word.append(i)
-            if c is not None:
-                t = self._shift(t, c)
-            k = k_s
-        return AffineWeylElement(self._lams[t], self.W0.elements[k]), tuple(reversed(word))
+        the y left at length zero is omega.  Each descent test reads one
+        pairing of the translation table; a walk that raises stores
+        nothing."""
+        entry = self._words.get(s)
+        if entry is None:
+            table, pairs = self._table, self._pairs
+            t, k = s
+            word: list[int] = []
+            for _ in range(self._length(t, k)):
+                p = pairs[t]
+                for i, (j, k_s, sign, threshold, c) in enumerate(table[k]):
+                    if sign * p[j] < threshold:
+                        break
+                else:
+                    x = AffineWeylElement(self._lams[s[0]], self.W0.elements[s[1]])
+                    raise WeylError(f"no descent for positive-length element {x!r}")
+                word.append(i)
+                if c is not None:
+                    t = self._shift(t, c)
+                k = k_s
+            entry = self._words[s] = ((t, k), tuple(reversed(word)))
+        return entry
 
     # -- W_0-orbits ------------------------------------------------------
 

@@ -194,10 +194,11 @@ class TestFlagsPerCommand:
 
 def test_internal_weyl_fault_is_not_reported_as_bad_input(monkeypatch):
     """An internal fault of the group tables raises out of ``main``; only
-    refused input is an ``error:`` line with exit 2."""
-    def fault(self, x):
+    refused input is an ``error:`` line with exit 2.  The fault is raised
+    where products read their reduced words, the group's word memo."""
+    def fault(self, s):
         raise WeylError("no descent for positive-length element")
-    monkeypatch.setattr(AffineWeylGroup, "reduced_word", fault)
+    monkeypatch.setattr(AffineWeylGroup, "_word", fault)
     with pytest.raises(WeylError, match="no descent"):
         main(["hecke-mul", "--group", "SL(2)", "0"])
 
@@ -375,6 +376,15 @@ class TestVerify:
         doc = json.loads(out)
         jsonschema.validate(doc, load_schema("verify_report.schema.json"))
         assert all(r["passed"] for r in doc["results"])
+
+    def test_json_names_the_catalog_group(self, capsys):
+        """``--json`` names the group as the catalog does, as ``describe``
+        and ``satake-table --json`` do, not as the ``--group`` text."""
+        code, out, _ = run(capsys, "verify", "--group", " GL(2) ", "--bound", "2", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("verify_report.schema.json"))
+        assert doc["group"] == catalog(" GL(2) ").name == "GL(2)"
 
 
 class TestBenchReferences:

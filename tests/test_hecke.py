@@ -83,12 +83,26 @@ class TestIwahori:
             assert at_one == {iw.W.mul(x, y): 1}
 
     def test_length_bound(self, monkeypatch):
-        monkeypatch.setattr(hecke, "MAX_KEY_LENGTH", 4)
+        """The bound is read at call time, and a right factor's length is
+        that of its memoised word: with the words of a key of length >= 10
+        and of a simple reflection already stored, lowering the bound to 4
+        refuses the product in either order before any of it is formed
+        (``add_product`` is then not callable), adding no row to the
+        translation table and no entry to the word memo."""
         rd = catalog("PGL(2)")
         iw = IwahoriHecke(rd)
-        big = iw.basis(iw.W.translation((10,)))
-        with pytest.raises(HeckeError):
-            iw.mul(big, big)
+        W = iw.W = AffineWeylGroup(rd)
+        x = W.translation((10,))
+        big, small = iw.basis(x), iw.basis(W.simple_refs[0])
+        assert len(W.reduced_word(x)[1]) >= 10
+        assert W.reduced_word(W.simple_refs[0])[1] == (0,)
+        rows, words = len(W._lams), dict(W._words)
+        monkeypatch.setattr(hecke, "MAX_KEY_LENGTH", 4)
+        monkeypatch.setattr(hecke, "add_product", None)
+        for a, b in ((big, big), (small, big), (big, small)):
+            with pytest.raises(hecke.KeyLengthError):
+                iw.mul(a, b)
+        assert len(W._lams) == rows and W._words == words
 
 
 ORACLE_GROUPS = ["PGL(2)", "GL(3)", "SO(5)", "Sp(4)*SL(2)", "GL(4)", "G2", "B3"]
@@ -217,6 +231,22 @@ class TestWorkCounts:
         monkeypatch.setattr(AffineWeylGroup, "root_pairings", checked)
         return paired
 
+    @staticmethod
+    def record_walks(monkeypatch, W) -> list:
+        """The states whose reduced word W walks from now on: each walk
+        ends by storing its word in W's memo, and storing a state the memo
+        already holds fails at once."""
+        walked = []
+
+        class Recorded(dict):
+            def __setitem__(self, s, entry):
+                assert s not in self, s
+                walked.append(s)
+                super().__setitem__(s, entry)
+
+        monkeypatch.setattr(W, "_words", Recorded(W._words))
+        return walked
+
     @pytest.mark.parametrize("name", ["PGL(2)", "SL(3)", "GL(3)", "Sp(4)*SL(2)"])
     def test_reduced_word_measures_once(self, counts, monkeypatch, name):
         """Over a seeded mix of word products, reduced words and Hecke
@@ -225,7 +255,10 @@ class TestWorkCounts:
         only while the table does not hold it, so at most once, and no
         length is measured nor matrix product formed.  A word product
         pairs nothing, and a reduced word of a translation far out pairs
-        it if it is new, and nothing else."""
+        it if it is new, and nothing else.  Each state's descent walk
+        runs at most once per group, a product stores its right factor's
+        word, and asking again for every word the memo holds walks
+        nothing."""
         rd = catalog(name)
         for fresh in (False, True):
             iw = IwahoriHecke(rd)
@@ -242,6 +275,7 @@ class TestWorkCounts:
 
             with monkeypatch.context() as m:
                 paired = self.record_pairings(m, W)
+                walked = self.record_walks(m, W)
                 counts.update(im_length=0, mat_vec=0, root_pairings=0)
                 for _ in range(60):
                     op = rng.randrange(3)
@@ -252,15 +286,21 @@ class TestWorkCounts:
                     elif op == 1:
                         W.reduced_word(element(64))
                     else:
-                        iw.mul(LinComb((element(10), ONE) for _ in range(3)),
-                               iw.basis(element(10)))
+                        y = element(10)
+                        iw.mul(LinComb((element(10), ONE) for _ in range(3)), iw.basis(y))
+                        assert W._state(y) in W._words
                 for lam in far:
                     before, known = len(paired), lam in W._ids
                     W.reduced_word(W.translation(lam))
                     assert paired[before:] == ([] if known else [lam])
+                before = len(walked)
+                for s in list(W._words):
+                    W._word(s)
+                assert len(walked) == before
             assert counts == {"im_length": 0, "mat_vec": 0, "root_pairings": len(paired)}
             assert len(paired) == len(set(paired))
             assert paired or not fresh
+            assert walked and len(walked) == len(set(walked))
 
     @pytest.mark.parametrize("name", ["PGL(2)", "GL(3)", "Sp(4)*SL(2)"])
     def test_mul_inverts_nothing(self, monkeypatch, name):
@@ -287,7 +327,8 @@ class TestWorkCounts:
         holds them all.  The group is fresh, so a's translations are new
         to it.  The words of b are read from a memo, so every pairing
         counted is the product's own (``test_reduced_word_measures_once``
-        pins theirs)."""
+        pins theirs): ``AffineWeylGroup._word``, which the product reads
+        them from, is replaced by a dict of answers found beforehand."""
         rd = catalog(name)
         monkeypatch.setattr(hecke, "affine_weyl_group", AffineWeylGroup)
         sph = SphericalHecke(rd)
@@ -298,12 +339,12 @@ class TestWorkCounts:
         a = indicator_from_iwahori(sph, mu)
         omegas = omega_elements(W, box=1)
         b = LinComb((W.mul(rng.choice(omegas), random_element(W, rng)), ONE) for _ in range(5))
-        words = {x: W.reduced_word(x) for x in b.keys()}
-        shifts = {omega for omega, _ in words.values()}
+        words = {W._state(x): W._word(W._state(x)) for x in b.keys()}
+        shifts = {W.reduced_word(x)[0] for x in b.keys()}
         assert name != "GL(3)" or len(shifts - {W.identity}) >= 2
         left = {w.translation for w in a.keys()}
         shifted = {W.mul(w, omega).translation for w in a.keys() for omega in shifts}
-        monkeypatch.setattr(AffineWeylGroup, "reduced_word", lambda W, x: words[x])
+        monkeypatch.setattr(AffineWeylGroup, "_word", lambda W, s: words[s])
         before = set(W._ids)
         assert left - before
         paired = self.record_pairings(monkeypatch, W)

@@ -162,6 +162,53 @@ class TestReducedWords:
             assert W.im_length(omega) == 0
 
 
+def plain_word(omega, word):
+    """A ``reduced_word`` answer with omega's finite part as its index, so
+    that answers of distinct groups of one datum compare."""
+    return omega.translation, omega.finite.index, word
+
+
+class TestWordMemo:
+    """Each group keeps the reduced word of every state asked for: the
+    answers are those of a fresh group and of the right-greedy oracle,
+    and a walk that fails stores nothing."""
+
+    @pytest.mark.parametrize("name", ["PGL(2)", "GL(3)", "Sp(4)*SL(2)"])
+    def test_fresh_and_warm_groups_agree(self, name):
+        rd = catalog(name)
+        warm, fresh = AffineWeylGroup(rd), AffineWeylGroup(rd)
+        rng = random.Random(97)
+        for _ in range(60):
+            warm.reduced_word(random_element(warm, rng, 10))
+        omegas = omega_elements(warm, box=1)
+        elements = [warm.mul(rng.choice(omegas), random_element(warm, rng, 8))
+                    for _ in range(40)]
+        assert len(warm._words) > 5 and not fresh._words
+        first = [plain_word(*warm.reduced_word(x)) for x in elements]
+        if name != "Sp(4)*SL(2)":     # simply connected: every omega is 1
+            assert any(lam != (0,) * rd.rank or k for lam, k, _ in first)
+        memo = {}
+        for x, answer in zip(elements, first):
+            expected = plain_word(*right_greedy_word(warm, x, memo))
+            assert plain_word(*fresh.reduced_word(x)) == answer == expected, x
+            assert plain_word(*warm.reduced_word(x)) == expected, x
+
+    def test_failed_walk_is_not_stored(self, monkeypatch):
+        """A walk told to take one step more than the length finds no
+        descent at omega and raises; the state gets no entry, and once
+        the fault is gone its word is walked and stored as usual."""
+        W = AffineWeylGroup(catalog("GL(3)"))
+        x = W.word_to_element([0, 1, 2, 0, 1])
+        length = AffineWeylGroup._length
+        with monkeypatch.context() as m:
+            m.setattr(W, "_length", lambda t, k: length(W, t, k) + 1)
+            with pytest.raises(weyl.WeylError, match="no descent"):
+                W.reduced_word(x)
+        assert W._state(x) not in W._words
+        assert plain_word(*W.reduced_word(x)) == plain_word(*right_greedy_word(W, x))
+        assert W._state(x) in W._words
+
+
 class TestOmega:
     @pytest.mark.parametrize("name,count", [
         ("PGL(2)", 2), ("SL(3)", 1), ("PGL(3)", 3), ("Sp(4)", 1), ("SL(2)", 1),
@@ -487,6 +534,14 @@ class TestTranslationTable:
             for c, t_s in enumerate(W._succ[t]):
                 assert t_s is None or lams[t_s] == vadd(lam, W._coroots[c][0]), (lam, c)
         assert any(t_s is not None for row in W._succ for t_s in row)
+        assert len(W._words) > 5
+        for (t, k), ((t_o, k_o), word) in W._words.items():
+            assert len(word) == W._length(t, k) and W._length(t_o, k_o) == 0, (t, k)
+            key = (lams[t_o], k_o)
+            for i in word:
+                key, up = step(W, key, i)
+                assert up, (t, k, word)
+            assert key == (lams[t], k), (t, k, word)
 
     @pytest.mark.parametrize("group, words", [
         ("GL(3)", ["0,1,2", "2,1,0,2", "1,2,1,0"]),
